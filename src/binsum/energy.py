@@ -6,7 +6,13 @@ the number of distinct sums, the largest multiplicity and the
 Cauchy-Schwarz floor it implies) is derived from that tally with exact
 integer arithmetic.
 
-Three interchangeable tally strategies produce identical counts:
+A tally has one form: a pair (sums, counts) of equal-length numpy arrays,
+sums strictly increasing and counts positive, with r(sums[i]) = counts[i].
+Both arrays are int64 when len(values)**h < 2**63 and h * values[-1] <
+2**62, so no count or sum can wrap; otherwise both are object arrays of
+Python ints. Only multiplicity_map turns a tally into a dict.
+
+Three interchangeable tally strategies produce identical (sums, counts):
 
   direct    enumerate every tuple (the oracle; cost len**h)
   mitm      enumerate both halves of the tuple, then convolve the two
@@ -22,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -77,11 +82,25 @@ def _fits_int64(values: list[int], h: int) -> bool:
     return h * values[-1] < 2**62
 
 
+def _tally_dtype(values: list[int], h: int) -> type:
+    """int64 when no sum and no count of an h-fold tally can wrap, else object.
+
+    Counts are bounded by the tuple total len(values)**h, sums by
+    h * values[-1].
+    """
+    if len(values) ** h < 2**63 and _fits_int64(values, h):
+        return np.int64
+    return object
+
+
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _tally_direct(values: list[int], h: int, budget: int) -> dict[int, int]:
+Tally = tuple[np.ndarray, np.ndarray]
+
+
+def _tally_direct(values: list[int], h: int, budget: int, dtype: type) -> Tally:
     """Full h-fold enumeration. The oracle the other strategies must match."""
     tuples = len(values) ** h
     if tuples > budget:
@@ -90,82 +109,52 @@ def _tally_direct(values: list[int], h: int, budget: int) -> dict[int, int]:
             required=tuples,
             budget=budget,
         )
-    if h == 1:
-        return {v: 1 for v in values}
-    if not _fits_int64(values, h):
-        # Values too large for the int64 engine; enumerate with Python ints.
-        if tuples > _PYTHON_FALLBACK_BUDGET:
-            raise ResourceBudgetError(
-                "direct enumeration of oversized values exceeds the "
-                "Python-int budget",
-                required=tuples,
-                budget=_PYTHON_FALLBACK_BUDGET,
-            )
-        tally: dict[int, int] = {}
-        for combo in product(values, repeat=h):
-            s = sum(combo)
-            tally[s] = tally.get(s, 0) + 1
-        return tally
-    arr = np.asarray(values, dtype=np.int64)
+    if dtype is object and h > 1 and tuples > _PYTHON_FALLBACK_BUDGET:
+        raise ResourceBudgetError(
+            "direct enumeration of oversized values exceeds the "
+            "Python-int budget",
+            required=tuples,
+            budget=_PYTHON_FALLBACK_BUDGET,
+        )
+    arr = np.asarray(values, dtype=dtype)
     sums = arr
     for _ in range(h - 1):
-        sums = (sums[:, None] + arr[None, :]).ravel()
+        sums = np.add.outer(sums, arr).ravel()
     keys, counts = np.unique(sums, return_counts=True)
-    return {int(s): int(c) for s, c in zip(keys, counts)}
+    return keys, counts.astype(dtype, copy=False)
 
 
-def _combine_tallies(
-    left: dict[int, int], right: dict[int, int], budget: int
-) -> dict[int, int]:
+def _combine(left: Tally, right: Tally, budget: int) -> Tally:
     """Convolution of two tallies: every cross pair, counts multiplied."""
-    pairs = len(left) * len(right)
+    (lk, lc), (rk, rc) = left, right
+    pairs = len(lk) * len(rk)
     if pairs > budget:
         raise ResourceBudgetError(
             "tally convolution exceeds the pair budget",
             required=pairs,
             budget=budget,
         )
-    lk = np.fromiter(left.keys(), dtype=np.int64, count=len(left))
-    lc = np.fromiter(left.values(), dtype=np.int64, count=len(left))
-    rk = np.fromiter(right.keys(), dtype=np.int64, count=len(right))
-    rc = np.fromiter(right.values(), dtype=np.int64, count=len(right))
-    sums = (lk[:, None] + rk[None, :]).ravel()
-    weights = (lc[:, None] * rc[None, :]).ravel()
-    order = np.argsort(sums, kind="stable")
+    # The cross weights sum to len(values)**h, so int64 cells cannot wrap
+    # exactly when that tuple total is below 2**63.
+    assert lc.dtype == object or int(lc.sum()) * int(rc.sum()) < 2**63
+    sums = np.add.outer(lk, rk).ravel()
+    weights = np.multiply.outer(lc, rc).ravel()
+    order = np.argsort(sums)
     sums = sums[order]
     weights = weights[order]
-    starts = np.r_[0, np.flatnonzero(np.diff(sums)) + 1]
-    totals = np.add.reduceat(weights, starts)
-    return {int(s): int(c) for s, c in zip(sums[starts], totals)}
+    starts = np.flatnonzero(np.r_[True, sums[1:] != sums[:-1]])
+    return sums[starts], np.add.reduceat(weights, starts)
 
 
-def _combine_python(left: dict[int, int], right: dict[int, int], budget: int) -> dict[int, int]:
-    pairs = len(left) * len(right)
-    if pairs > budget:
-        raise ResourceBudgetError(
-            "tally convolution exceeds the pair budget",
-            required=pairs,
-            budget=budget,
-        )
-    out: dict[int, int] = {}
-    for s1, c1 in left.items():
-        for s2, c2 in right.items():
-            key = s1 + s2
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
-
-
-def _tally_mitm(values: list[int], h: int, budget: int) -> dict[int, int]:
+def _tally_mitm(values: list[int], h: int, budget: int, dtype: type) -> Tally:
     """Meet in the middle: tallies for both halves of the tuple, convolved."""
     if h == 1:
-        return {v: 1 for v in values}
+        return _tally_direct(values, 1, budget, dtype)
     left_h = h // 2
     right_h = h - left_h
-    left = _tally_direct(values, left_h, budget)
-    right = left if right_h == left_h else _tally_direct(values, right_h, budget)
-    if _fits_int64(values, h):
-        return _combine_tallies(left, right, budget)
-    return _combine_python(left, right, budget)
+    left = _tally_direct(values, left_h, budget, dtype)
+    right = left if right_h == left_h else _tally_direct(values, right_h, budget, dtype)
+    return _combine(left, right, budget)
 
 
 def _dense_counts(
@@ -219,11 +208,6 @@ def _dense_counts(
     return acc
 
 
-def _dict_from_dense(arr: np.ndarray) -> dict[int, int]:
-    keys = np.flatnonzero(arr)
-    return {int(s): int(arr[s]) for s in keys}
-
-
 def _pick_strategy(
     values: list[int], h: int, enumeration_budget: int, dense_budget: int
 ) -> str:
@@ -241,17 +225,21 @@ def _tally(
     enumeration_budget: int,
     dense_budget: int,
     threads: int = 1,
-) -> tuple[dict[int, int] | None, np.ndarray | None]:
-    """Dispatch to one strategy; returns (dict, None) or (None, dense array)."""
+) -> Tally:
+    """Dispatch to one strategy; every strategy returns the same exact
+    (sums, counts) pair, in the dtype _tally_dtype picks."""
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     if strategy == "auto":
         strategy = _pick_strategy(values, h, enumeration_budget, dense_budget)
+    dtype = _tally_dtype(values, h)
     if strategy == "direct":
-        return _tally_direct(values, h, enumeration_budget), None
+        return _tally_direct(values, h, enumeration_budget, dtype)
     if strategy == "mitm":
-        return _tally_mitm(values, h, enumeration_budget), None
-    return None, _dense_counts(values, h, dense_budget, threads)
+        return _tally_mitm(values, h, enumeration_budget, dtype)
+    dense = _dense_counts(values, h, dense_budget, threads)
+    keys = np.flatnonzero(dense)
+    return keys.astype(dtype, copy=False), dense[keys].astype(dtype)
 
 
 def multiplicity_map(
@@ -275,36 +263,35 @@ def multiplicity_map(
         raise ValueError(f"arity must be h >= 1, got {h}")
     seq = _resolve_sequence(k, sequence)
     values = _admissible_values(seq, index_bound)
-    tally, dense = _tally(values, h, strategy, enumeration_budget, dense_budget, threads)
-    if tally is not None:
-        return tally
-    return _dict_from_dense(dense)
+    sums, counts = _tally(values, h, strategy, enumeration_budget, dense_budget, threads)
+    return dict(zip(sums.tolist(), counts.tolist()))
 
 
-def _aggregate(
-    tally: dict[int, int] | None, dense: np.ndarray | None
-) -> tuple[int, int, int, int]:
-    """(total, energy, distinct, max multiplicity) from either tally form."""
-    if tally is not None:
-        total = sum(tally.values())
-        energy = sum(c * c for c in tally.values())
-        distinct = len(tally)
-        max_mult = max(tally.values())
-        return total, energy, distinct, max_mult
-    assert dense is not None
-    max_mult = int(dense.max())
-    distinct = int(np.count_nonzero(dense))
+def _aggregate(tally: Tally) -> tuple[int, int, int, int]:
+    """(total, energy, distinct, max multiplicity) of a tally."""
+    counts = tally[1]
+    distinct = len(counts)
+    max_mult = int(counts.max())
     # int64 reductions only where the worst case provably fits
-    if distinct * max_mult < 2**62:
-        total = int(dense.sum(dtype=np.int64))
-    else:
-        total = sum(int(c) for c in dense[dense > 0])
-    if distinct * max_mult * max_mult < 2**62:
-        wide = dense.astype(np.int64)
-        energy = int(wide @ wide)
-    else:
-        energy = sum(int(c) ** 2 for c in dense[dense > 0])
-    return total, energy, distinct, max_mult
+    if counts.dtype != object and distinct * max_mult * max_mult < 2**62:
+        return int(counts.sum()), int(counts @ counts), distinct, max_mult
+    exact = counts.tolist()
+    return sum(exact), sum(c * c for c in exact), distinct, max_mult
+
+
+def _top(tally: Tally, top: int) -> list[tuple[int, int]]:
+    """The top entries as (s, r(s)), r descending then s ascending.
+
+    Only counts at or above the top-th largest are sorted; ties at that
+    cut all survive the selection, and the sort decides among them.
+    """
+    sums, counts = tally
+    cut = len(counts) - top
+    if cut > 0:
+        keep = np.flatnonzero(counts >= np.partition(counts, cut)[cut])
+        sums, counts = sums[keep], counts[keep]
+    order = np.lexsort((sums, -counts))[:top]
+    return list(zip(sums[order].tolist(), counts[order].tolist()))
 
 
 @dataclass(frozen=True)
@@ -336,6 +323,43 @@ class EnergyReport:
         assert self.distinct_sums >= self.cs_lower_bound
 
 
+def _report_and_extremes(
+    k: int,
+    h: int,
+    index_bound: int,
+    top: int,
+    *,
+    sequence: SequenceLike | str | None = None,
+    value_bound: int | None = None,
+    strategy: str = "auto",
+    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
+    dense_budget: int = DEFAULT_DENSE_BUDGET,
+    threads: int = 1,
+) -> tuple[EnergyReport, list[tuple[int, int]]]:
+    """energy_report and the top multiplicity_extremes (none for top=0),
+    both derived from one tally."""
+    if h < 1:
+        raise ValueError(f"arity must be h >= 1, got {h}")
+    seq = _resolve_sequence(k, sequence)
+    values = _admissible_values(seq, index_bound)
+    tally = _tally(values, h, strategy, enumeration_budget, dense_budget, threads)
+    total, energy, distinct, max_mult = _aggregate(tally)
+    report = EnergyReport(
+        order=k,
+        arity=h,
+        index_bound=index_bound,
+        value_bound=value_bound,
+        sequence=seq.kind,
+        admissible_count=len(values),
+        total_tuples=total,
+        energy=energy,
+        distinct_sums=distinct,
+        max_multiplicity=max_mult,
+        cs_lower_bound=_ceil_div(total * total, energy),
+    )
+    return report, _top(tally, top) if top > 0 else []
+
+
 def energy_report(
     k: int,
     h: int,
@@ -349,26 +373,19 @@ def energy_report(
     threads: int = 1,
 ) -> EnergyReport:
     """Exact multiplicity aggregates for h-fold sums up to index_bound."""
-    if h < 1:
-        raise ValueError(f"arity must be h >= 1, got {h}")
-    seq = _resolve_sequence(k, sequence)
-    values = _admissible_values(seq, index_bound)
-    tally, dense = _tally(values, h, strategy, enumeration_budget, dense_budget, threads)
-    total, energy, distinct, max_mult = _aggregate(tally, dense)
-    count = len(values)
-    return EnergyReport(
-        order=k,
-        arity=h,
-        index_bound=index_bound,
+    report, _ = _report_and_extremes(
+        k,
+        h,
+        index_bound,
+        0,
+        sequence=sequence,
         value_bound=value_bound,
-        sequence=seq.kind,
-        admissible_count=count,
-        total_tuples=total,
-        energy=energy,
-        distinct_sums=distinct,
-        max_multiplicity=max_mult,
-        cs_lower_bound=_ceil_div(total * total, energy),
+        strategy=strategy,
+        enumeration_budget=enumeration_budget,
+        dense_budget=dense_budget,
+        threads=threads,
     )
+    return report
 
 
 def index_bound_for(
@@ -467,28 +484,22 @@ def restricted_distinct_sums(
             f"per-term cap {cap} admits no values; raise the budget or fraction"
         )
     max_index = seq.floor_index(cap)
-    values = _admissible_values(seq, max_index)
-    assert spec.arity * values[-1] <= (
+    assert spec.arity * seq.value(max_index) <= (
         spec.fraction.numerator * spec.budget // spec.fraction.denominator
     ) <= spec.budget
-    tally, dense = _tally(
-        values, spec.arity, strategy, enumeration_budget, dense_budget, threads
-    )
-    total, energy, distinct, max_mult = _aggregate(tally, dense)
-    count = len(values)
-    report = EnergyReport(
-        order=spec.order,
-        arity=spec.arity,
-        index_bound=max_index,
+    report, _ = _report_and_extremes(
+        spec.order,
+        spec.arity,
+        max_index,
+        0,
+        sequence=seq,
         value_bound=spec.budget,
-        sequence=seq.kind,
-        admissible_count=count,
-        total_tuples=total,
-        energy=energy,
-        distinct_sums=distinct,
-        max_multiplicity=max_mult,
-        cs_lower_bound=_ceil_div(total * total, energy),
+        strategy=strategy,
+        enumeration_budget=enumeration_budget,
+        dense_budget=dense_budget,
+        threads=threads,
     )
+    count = report.admissible_count
     return RestrictedReport(
         spec=spec,
         report=report,
@@ -496,7 +507,7 @@ def restricted_distinct_sums(
         max_index=max_index,
         admissible_count=count,
         trivial_bound=count ** (spec.arity - 1),
-        floor_lower_bound=_ceil_div(total, max_mult),
+        floor_lower_bound=_ceil_div(report.total_tuples, report.max_multiplicity),
     )
 
 
@@ -589,15 +600,15 @@ def multiplicity_extremes(
     smaller s first."""
     if top < 1:
         raise ValueError(f"top must be >= 1, got {top}")
-    if h < 1:
-        raise ValueError(f"arity must be h >= 1, got {h}")
-    seq = _resolve_sequence(k, sequence)
-    values = _admissible_values(seq, index_bound)
-    tally, dense = _tally(values, h, strategy, enumeration_budget, dense_budget, threads)
-    if tally is not None:
-        ranked = sorted(tally.items(), key=lambda item: (-item[1], item[0]))
-        return ranked[:top]
-    keys = np.flatnonzero(dense)
-    counts = dense[keys]
-    order = np.lexsort((keys, -counts))
-    return [(int(keys[i]), int(counts[i])) for i in order[:top]]
+    _, extremes = _report_and_extremes(
+        k,
+        h,
+        index_bound,
+        top,
+        sequence=sequence,
+        strategy=strategy,
+        enumeration_budget=enumeration_budget,
+        dense_budget=dense_budget,
+        threads=threads,
+    )
+    return extremes

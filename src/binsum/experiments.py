@@ -152,27 +152,15 @@ def _run_energy(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
         )
         # only the value convention actually caps the values
         value_bound = params["x"] if params["convention"] == "value" else None
-    report = energy_mod.energy_report(
+    report, extremes = energy_mod._report_and_extremes(
         params["k"],
         params["h"],
         bound,
+        params["top"],
         sequence=params["sequence"],
         value_bound=value_bound,
         threads=knobs.threads,
     )
-    extremes = None
-    if params["top"] > 0:
-        extremes = [
-            list(pair)
-            for pair in energy_mod.multiplicity_extremes(
-                params["k"],
-                params["h"],
-                bound,
-                params["top"],
-                sequence=params["sequence"],
-                threads=knobs.threads,
-            )
-        ]
     return {
         "index_bound": report.index_bound,
         "admissible_count": report.admissible_count,
@@ -181,7 +169,7 @@ def _run_energy(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
         "distinct_sums": report.distinct_sums,
         "max_multiplicity": report.max_multiplicity,
         "cs_lower_bound": report.cs_lower_bound,
-        "extremes": extremes,
+        "extremes": [list(pair) for pair in extremes] if params["top"] > 0 else None,
     }
 
 

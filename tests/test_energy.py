@@ -2,6 +2,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from binsum import (
     multiplicity_map,
     restricted_distinct_sums,
 )
+from binsum.energy import _aggregate, _combine, _tally, _top
 
 
 def oracle_tally(values, h):
@@ -72,11 +74,37 @@ class TestMultiplicityMap:
         }
 
     def test_oversized_values_use_exact_python_ints(self):
-        # C(200, 100) and neighbours exceed int64; the fallback must stay exact
-        tally = multiplicity_map(100, 2, 102)
-        values = BinomialSequence(100).values_upto(binom(102, 100))
-        assert tally == oracle_tally(values, 2)
-        assert max(tally) == 2 * binom(102, 100)
+        # C(116, 100) > 2**62, so these tallies take the object-dtype path
+        values = BinomialSequence(100).values_upto(binom(120, 100))
+        assert values[-1] > 2**62
+        for h in (2, 3):
+            want = oracle_tally(values, h)
+            for strategy in ("auto", "direct", "mitm"):
+                tally = multiplicity_map(100, h, 120, strategy=strategy)
+                assert tally == want, (h, strategy)
+                assert all(type(s) is int and type(c) is int for s, c in tally.items())
+            r = energy_report(100, h, 120)
+            assert r.total_tuples == len(values) ** h
+            assert r.energy == sum(c * c for c in want.values())
+            assert r.distinct_sums == len(want)
+            assert r.max_multiplicity == max(want.values())
+            ranked = sorted(want.items(), key=lambda item: (-item[1], item[0]))
+            assert multiplicity_extremes(100, h, 120, 7) == ranked[:7]
+
+    def test_tally_form_and_dtype(self):
+        small = BinomialSequence(2).values_upto(binom(30, 2))
+        big = BinomialSequence(100).values_upto(binom(120, 100))
+        # convolve refuses sums past 2**62, so it has no object-dtype case
+        cases = ((small, np.int64, ("direct", "mitm", "convolve")),
+                 (big, object, ("direct", "mitm")))
+        for values, dtype, strategies in cases:
+            for strategy in strategies:
+                sums, counts = _tally(values, 3, strategy, 10**7, 10**7)
+                assert sums.dtype == counts.dtype == dtype, strategy
+                assert len(sums) == len(counts)
+                assert all(a < b for a, b in zip(sums, sums[1:]))
+                assert min(counts) > 0
+                assert sum(counts.tolist()) == len(values) ** 3
 
     def test_budget_errors(self):
         with pytest.raises(ResourceBudgetError):
@@ -130,6 +158,19 @@ class TestEnergyReport:
         assert r.distinct_sums * r.max_multiplicity >= r.total_tuples
         assert r.distinct_sums >= r.cs_lower_bound
         assert r.cs_lower_bound * r.energy >= r.total_tuples**2
+
+    def test_aggregate_leaves_int64_where_squares_could_wrap(self):
+        # 2 * (2**31)**2 + 1 = 2**63 + 1 wraps an int64 dot product
+        counts = np.array([2**31, 2**31, 1], dtype=np.int64)
+        total, energy, distinct, max_mult = _aggregate((np.arange(3), counts))
+        assert energy == sum(c * c for c in counts.tolist()) == 2**63 + 1
+        assert (total, distinct, max_mult) == (2**32 + 1, 3, 2**31)
+
+    def test_combine_refuses_int64_weights_that_could_wrap(self):
+        # the cross weights total 2**64, beyond int64
+        half = (np.array([0, 1]), np.array([2**31, 2**31]))
+        with pytest.raises(AssertionError):
+            _combine(half, half, budget=10)
 
     def test_report_asserts_consistency(self):
         with pytest.raises(AssertionError):
@@ -251,6 +292,23 @@ class TestExtremes:
         a = multiplicity_extremes(2, 3, 25, 10, strategy="convolve")
         b = multiplicity_extremes(2, 3, 25, 10, strategy="direct")
         assert a == b
+
+    def test_top_cut_inside_a_tie(self):
+        sums = np.array([1, 2, 3, 4, 5, 6])
+        counts = np.array([3, 5, 3, 5, 3, 1])
+        assert _top((sums, counts), 1) == [(2, 5)]
+        assert _top((sums, counts), 3) == [(2, 5), (4, 5), (1, 3)]
+        assert _top((sums.astype(object), counts.astype(object)), 4) == [
+            (2, 5), (4, 5), (1, 3), (3, 3),
+        ]
+        full = sorted(
+            multiplicity_map(2, 3, 25).items(), key=lambda item: (-item[1], item[0])
+        )
+        assert any(full[t - 1][1] == full[t][1] for t in range(1, 40))
+        for top in range(1, 40):
+            for strategy in ("direct", "mitm", "convolve"):
+                got = multiplicity_extremes(2, 3, 25, top, strategy=strategy)
+                assert got == full[:top], (top, strategy)
 
     def test_power_sequence_cube_collisions(self):
         # first taxicab number: 1729 = 1 + 1728 = 729 + 1000
