@@ -7,6 +7,14 @@ summands suffice": a dense dynamic program over a whole range, and a
 depth-limited search for single targets. The two admission policies,
 repeated elements allowed or all elements distinct, are a mode shared by
 every search entry point.
+
+The range oracles (min_rep_table and the coverage scan) hold every set of
+reachable targets as packed little-endian uint64 words, bit j for target j;
+only the per-target counts are uint8. Shifting a set by a coin v becomes a
+byte offset of v // 8 applied to one of eight copies of the set pre-shifted
+by 0..7 bits, so one OR covers eight targets per byte. The repeats table
+stops a layer, exactly, as soon as every target is reached. Working-memory
+estimates count the bytes of these arrays and their temporaries.
 """
 from __future__ import annotations
 
@@ -16,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binom import BinomialSequence, binom, floor_index, gap
+from .binom import BinomialSequence, binom, count_upto, floor_index, gap
 from .errors import ResourceBudgetError
 
 __all__ = [
@@ -44,6 +52,18 @@ EXCEEDS_CAP = 255
 CAP_MAX = 254
 
 DEFAULT_MEMORY_BUDGET = 4 * 1024**3
+
+# Working-memory estimates add Python objects per coin (the coin list and
+# the repeats build's (byte, bit) offsets) and per call (array headers,
+# views and other small objects) to the arrays.
+_COIN_BYTES = 160
+_CALL_BYTES = 16 * 1024
+
+# Packed target sets: bit j (bit j % 64 of uint64 word j // 64) stands for
+# target j. Byte views of the words assume a little-endian host.
+_ALL = 2**64 - 1
+_PHASE_SHIFTS = np.arange(8, dtype=np.uint64)[:, None]
+_CARRY_SHIFTS = 64 - _PHASE_SHIFTS[1:]
 
 
 class SearchMode(enum.Enum):
@@ -292,58 +312,169 @@ class MinRepTable:
         return None if c == EXCEEDS_CAP else c
 
 
+def _full(words: np.ndarray) -> bool:
+    """True when every bit of a packed set is on (padding included)."""
+    return words[-1] == _ALL and int(words.min()) == _ALL
+
+
+def _with_padding(words: np.ndarray, cells: int) -> np.ndarray:
+    """Turn on the padding bits at and above cells, in place.
+
+    Padding must read as reached: the fullness test and the "highest
+    uncovered target" read would otherwise stop at bits past the range.
+    Shifts only move bits upward, so set padding never reaches a target.
+    """
+    if cells % 64:
+        words[-1] |= np.uint64(_ALL ^ ((1 << cells % 64) - 1))
+    return words
+
+
+def _set_bits(words: np.ndarray, targets: list[int]) -> np.ndarray:
+    """Turn on the bits of the targets in a packed set, in place."""
+    t = np.asarray(targets, dtype=np.int64)
+    np.bitwise_or.at(words.view(np.uint8), t >> 3, np.left_shift(1, t & 7).astype(np.uint8))
+    return words
+
+
+def _unpack(words: np.ndarray, cells: int) -> np.ndarray:
+    """The first cells bits of a packed set as a bool array."""
+    return np.unpackbits(words.view(np.uint8), count=cells, bitorder="little").view(bool)
+
+
+def _bit_phases(padded: np.ndarray) -> np.ndarray:
+    """Eight copies of a packed set, copy p shifted up by p bits, as bytes.
+
+    padded is the set after one zero word, which feeds the carry into word
+    0. Copy v % 8 placed at byte v // 8 puts bit j of the set on bit j + v,
+    so a shift by v bits becomes a byte offset.
+    """
+    phases = padded[1:] << _PHASE_SHIFTS
+    phases[1:] |= padded[:-1] >> _CARRY_SHIFTS
+    return phases.view(np.uint8)
+
+
+def _next_layer(padded: np.ndarray, shifts: list[tuple[int, int]]) -> np.ndarray:
+    """A layer OR (the layer shifted up by v) over the coins v, stopping
+    when full; both layers are held after one zero word.
+
+    shifts holds (v // 8, v % 8) per coin. Every coin reads the previous
+    layer, so its eight bit phases are built once and each coin costs one
+    byte-offset OR. Fullness is tested after coins 1, 2, 4, 8, ...; a full
+    set cannot grow, so skipping the remaining coins is exact.
+    """
+    new = padded.copy()
+    phases = _bit_phases(padded)
+    words = new[1:]
+    out = words.view(np.uint8)
+    size = out.size
+    for done, (offset, phase) in enumerate(shifts, 1):
+        dest = out[offset:]
+        np.bitwise_or(dest, phases[phase, : size - offset], out=dest)
+        if done & (done - 1) == 0 and _full(words):
+            break
+    return new
+
+
 def _repeats_table(n: int, coins: list[int], cap: int) -> np.ndarray:
     """Unbounded-coin minimal counts over [0, n] as uint8.
 
     Layered reachability: layer t marks every target expressible as a sum of
     at most t coins, so the first layer that reaches a cell is exactly the
-    DP value 1 + min(counts[N - v]). Vectorized as shifted ORs; stops early
-    once a layer adds nothing or everything is reached.
+    DP value 1 + min(counts[N - v]). That layer is also the number of
+    layers (from layer 0, which holds only 0) that miss the cell, so each
+    layer adds its complement to the counts.
+
+    Layers are packed bit sets with the padding bits on. Layer 1 sets the
+    coins' bits and each later layer comes from _next_layer. The build stops
+    at the cap or once a layer reaches every cell; the coin 1 = C(k, k)
+    makes every layer grow until then.
     """
-    counts = np.full(n + 1, EXCEEDS_CAP, dtype=np.uint8)
+    cells = n + 1
+    counts = np.ones(cells, dtype=np.uint8)
     counts[0] = 0
-    reach = np.zeros(n + 1, dtype=bool)
-    reach[0] = True
-    if not coins:
-        return counts
-    coin_idx = np.asarray(coins, dtype=np.int64)
-    layer = 0
-    while layer < cap and not reach.all():
-        layer += 1
-        if layer == 1:
-            new = reach.copy()
-            new[coin_idx] = True
-        else:
-            prev = reach
-            new = reach.copy()
-            for v in coins:
-                np.logical_or(new[v:], prev[: n + 1 - v], out=new[v:])
-        newly = new & ~reach
-        if not newly.any():
+    padded = np.zeros(-(-cells // 64) + 1, dtype=np.uint64)
+    reach = _set_bits(_with_padding(padded[1:], cells), [0, *coins])
+    shifts = [(v >> 3, v & 7) for v in coins]
+    for _ in range(1, cap):
+        if _full(reach):
             break
-        counts[newly] = layer
-        reach = new
+        padded = _next_layer(padded, shifts)
+        counts += _unpack(~reach, cells)
+        reach = padded[1:]
+    if not _full(reach):
+        counts[_unpack(~reach, cells)] = EXCEEDS_CAP
     return counts
 
 
 def _distinct_table(n: int, coins: list[int], cap: int) -> np.ndarray:
     """Each-coin-at-most-once minimal counts over [0, n] as uint8.
 
-    levels[t] holds the sums of exactly t distinct coins among those
-    processed so far; coins are folded in one at a time with the level loop
-    descending so no coin is used twice.
+    Level t is the packed set of sums of exactly t distinct coins among
+    those processed so far; level 0 is {0}. Levels 1..rows are interleaved
+    word by word: grid[w, t - 1] is word w of level t, and grid[w, rows] is
+    a spill slot. Moving every level up one (t -> t + 1) and every target up
+    by a coin v = 64 q + r is then one flat offset of q * stride + 1 words
+    plus an r-bit shift, so each coin costs one contiguous shifted OR over
+    all levels. The shift reads a copy of the levels from before the coin,
+    so no coin is used twice; level 0 adds v to level 1. The top level lands
+    in the spill slot, which is cleared after every coin. Coins ascend, so
+    before coin v the levels below the top hold sums below rows * v and only
+    those words are shifted.
     """
-    levels = np.zeros((cap + 1, n + 1), dtype=bool)
-    levels[0, 0] = True
+    cells = n + 1
+    words = -(-cells // 64)
+    rows = min(cap, len(coins))
+    stride = rows + 1
+    # a spare word row past the last takes the shifted OR's overrun
+    grid = np.zeros((words + 1, stride), dtype=np.uint64)
+    flat = grid.ravel()
+    shifted = np.empty(flat.size, dtype=np.uint64)
+    carry = np.empty(flat.size, dtype=np.uint64)
     for seen, v in enumerate(coins):
-        for t in range(min(cap, seen + 1), 0, -1):
-            np.logical_or(
-                levels[t, v:], levels[t - 1, : n + 1 - v], out=levels[t, v:]
-            )
-    counts = np.full(n + 1, EXCEEDS_CAP, dtype=np.uint8)
-    for t in range(cap, -1, -1):
-        counts[levels[t]] = t
+        offset, bit = divmod(v, 64)
+        # one spare word past the support takes the carry out of its top word
+        span = min(words - offset, min(rows - 1, seen) * v // 64 + 2)
+        size = span * stride
+        src = flat[:size]
+        out = shifted[:size]
+        np.left_shift(src, bit, out=out)
+        if bit:
+            carried = carry[: size - stride]
+            np.right_shift(src[:-stride], 64 - bit, out=carried)
+            np.bitwise_or(out[stride:], carried, out=out[stride:])
+        start = offset * stride + 1
+        dest = flat[start : start + size]
+        np.bitwise_or(dest, out, out=dest)
+        grid[offset : offset + span, -1] = 0
+        grid[offset, 0] |= np.uint64(1 << bit)
+    # a cell's count is its first level t: the number of unions of levels
+    # 0..s, s < t, that miss it
+    counts = np.zeros(cells, dtype=np.uint8)
+    union = np.zeros(words, dtype=np.uint64)
+    union[0] = 1
+    for t in range(rows):
+        counts += _unpack(~union, cells)
+        union |= grid[:words, t]
+    counts[_unpack(~union, cells)] = EXCEEDS_CAP
     return counts
+
+
+def _table_bytes(k: int, cells: int, coins: int, cap: int, mode: SearchMode) -> int:
+    """Peak bytes min_rep_table allocates for a table of cells targets."""
+    if k == 1:
+        return cells + _CALL_BYTES
+    words = -(-cells // 64)
+    if mode is SearchMode.REPEATS:
+        # counts, then the larger of building a layer (two layers after a
+        # zero word, eight phases, seven carry rows) and marking one (two
+        # layers, a complement and the unpacked cells)
+        arrays = cells + max(8 * (17 * words + 2), cells + 8 * (3 * words + 2))
+    else:
+        # the level grid with its shifted and carry copies, counts, the
+        # union of levels, its complement and the unpacked cells
+        stride = min(cap, coins) + 1
+        arrays = 24 * stride * (words + 1) + 2 * cells + 16 * words
+    return arrays + _COIN_BYTES * coins + _CALL_BYTES
 
 
 def min_rep_table(
@@ -371,9 +502,9 @@ def min_rep_table(
     if not (1 <= cap <= CAP_MAX):
         raise ValueError(f"cap must be in [1, {CAP_MAX}], got {cap}")
 
-    cells = range_end + 1
-    arrays = 4 if mode is SearchMode.REPEATS else cap + 2
-    required = arrays * cells
+    # the largest index whose coin fits the range
+    top = floor_index(k, range_end) if range_end else k - 1
+    required = _table_bytes(k, range_end + 1, top - k + 1, cap, mode)
     if required > memory_budget:
         raise ResourceBudgetError(
             "min_rep_table working set exceeds the memory budget",
@@ -382,11 +513,11 @@ def min_rep_table(
         )
 
     if k == 1:
-        counts = np.ones(cells, dtype=np.uint8)
+        counts = np.ones(range_end + 1, dtype=np.uint8)
         counts[0] = 0
         return MinRepTable(k, 0, range_end, cap, mode, counts)
 
-    coins = BinomialSequence(k).values_upto(range_end)
+    coins = [binom(n, k) for n in range(k, top + 1)]
     if mode is SearchMode.REPEATS:
         counts = _repeats_table(range_end, coins, cap)
     else:
@@ -409,10 +540,36 @@ class MinRepSurvey:
     exception_count: int
 
 
+# survey scans list hit positions this many cells at a time
+_HIT_WINDOW = 4096
+
+
 def _chunk_ranges(lo: int, hi: int, chunk_size: int | None) -> list[tuple[int, int]]:
     if chunk_size is None or chunk_size <= 0:
         return [(lo, hi)]
     return [(a, min(a + chunk_size - 1, hi)) for a in range(lo, hi + 1, chunk_size)]
+
+
+def _first_hits(mask: np.ndarray, limit: int, offset: int) -> list[int]:
+    """Positions (plus offset) of the first limit True cells of mask,
+    ascending.
+
+    argmax jumps to the next True cell; positions are then listed only
+    within a window after it, so no index array grows with the mask.
+    """
+    hits: list[int] = []
+    start = 0
+    while len(hits) < limit:
+        rest = mask[start:]
+        if not rest.size:
+            break
+        first = int(rest.argmax())
+        if not rest[first]:
+            break
+        window = np.flatnonzero(rest[first : first + _HIT_WINDOW])
+        hits.extend((window[: limit - len(hits)] + offset + start + first).tolist())
+        start += first + _HIT_WINDOW
+    return hits
 
 
 def survey_min_rep(
@@ -449,8 +606,11 @@ def survey_min_rep(
     def chunk_max(bounds: tuple[int, int]) -> int:
         lo, hi = bounds
         sub = counts[lo : hi + 1]
-        valid = sub[sub != EXCEEDS_CAP]
-        return int(valid.max()) if valid.size else -1
+        top = int(sub.max())
+        if top == EXCEEDS_CAP:
+            # uint8 wraparound sends EXCEEDS_CAP to 0 and every count c to c + 1
+            top = int((sub + 1).max()) - 1
+        return top
 
     def run(fn, items):
         if threads > 1:
@@ -465,9 +625,9 @@ def survey_min_rep(
     def chunk_details(bounds: tuple[int, int]) -> tuple[list[int], list[int], int]:
         lo, hi = bounds
         sub = counts[lo : hi + 1]
-        hits = (np.flatnonzero(sub == best)[:max_witnesses] + lo).tolist()
-        missing = np.flatnonzero(sub == EXCEEDS_CAP)
-        return hits, (missing[:max_exceptions] + lo).tolist(), int(missing.size)
+        hits = [] if max_terms is None else _first_hits(sub == best, max_witnesses, lo)
+        missing = sub == EXCEEDS_CAP
+        return hits, _first_hits(missing, max_exceptions, lo), int(np.count_nonzero(missing))
 
     witnesses: list[tuple[int, int]] = []
     exceptions: list[int] = []
@@ -503,11 +663,22 @@ def sumset_coverage_threshold(
     min(2 * m, r_max) for the largest uncovered m, and 0 when every interval
     is fully covered. Distinct mode requires the two indices to differ; a
     lone triangular number or 0 still counts as covered in both modes.
+
+    The covered set and the set of triangular numbers (with 0) are packed
+    bit sets. Each triangular v ORs the triangulars T <= v (T < v in
+    distinct mode) shifted up by v into the bytes covering [v, min(2v,
+    r_max)], through byte-offset bit phases of the triangular set, with the
+    last byte masked at the window's end. The answer is read from the
+    highest zero bit at or below r_max.
     """
     mode = SearchMode.coerce(mode)
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    required = 2 * (r_max + 1)
+    cells = r_max + 1
+    words = -(-cells // 64)
+    # the packed triangulars after a zero word, with their eight phases and
+    # the seven carry rows built with them
+    required = 8 * (16 * words + 1) + _COIN_BYTES * count_upto(2, r_max) + _CALL_BYTES
     if required > memory_budget:
         raise ResourceBudgetError(
             "coverage scan exceeds the memory budget",
@@ -515,28 +686,26 @@ def sumset_coverage_threshold(
             budget=memory_budget,
         )
     values = BinomialSequence(2).values_upto(r_max)
-    reach = np.zeros(r_max + 1, dtype=bool)
-    reach[0] = True
+    padded = np.zeros(words + 1, dtype=np.uint64)
+    _set_bits(padded[1:], [0, *values])
+    phases = _bit_phases(padded)
+    del padded
+    reach = np.zeros(words, dtype=np.uint64)
+    covered = reach.view(np.uint8)
+    covered[0] = 1
+    # pair sums v + T with T <= v, or T < v in distinct mode, capped at r_max
+    repeats = int(mode is SearchMode.REPEATS)
+    for v in values:
+        hi = min(2 * v - 1 + repeats, r_max)
+        first, last = v >> 3, hi >> 3
+        src = phases[v & 7]
+        np.bitwise_or(covered[first:last], src[: last - first], out=covered[first:last])
+        covered[last] |= src[last - first] & ((2 << (hi & 7)) - 1)
 
-    if mode is SearchMode.REPEATS:
-        singles = np.zeros(r_max + 1, dtype=bool)
-        singles[0] = True
-        for v in values:
-            singles[v] = True
-        for v in values:
-            # pair sums v + T_b with T_b <= min(v, r_max - v)
-            hi = min(2 * v, r_max)
-            np.logical_or(reach[v : hi + 1], singles[: hi - v + 1], out=reach[v : hi + 1])
-    else:
-        seen = np.zeros(r_max + 1, dtype=bool)
-        seen[0] = True  # v + 0 keeps lone triangulars covered
-        for v in values:
-            hi = min(2 * v, r_max)
-            np.logical_or(reach[v : hi + 1], seen[: hi - v + 1], out=reach[v : hi + 1])
-            seen[v] = True
-
-    uncovered = np.flatnonzero(~reach[1:])
-    if uncovered.size == 0:
+    _with_padding(reach, cells)
+    open_words = reach != _ALL
+    if not open_words.any():
         return 0
-    m = int(uncovered[-1]) + 1
+    w = words - 1 - int(open_words[::-1].argmax())
+    m = 64 * w + (_ALL ^ int(reach[w])).bit_length() - 1
     return min(2 * m, r_max)

@@ -1,5 +1,6 @@
 """Decomposition routes, minimal-summand tables, surveys, coverage."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binsum import (
+    CAP_MAX,
     EXCEEDS_CAP,
     BinomialSequence,
     Representation,
@@ -48,6 +50,50 @@ def oracle_min_counts(k: int, n_max: int, distinct: bool = False) -> list:
             if best[target - v] + 1 < best[target]:
                 best[target] = best[target - v] + 1
     return best
+
+
+def bytewise_repeats_table(n: int, coins: list, cap: int) -> np.ndarray:
+    """One byte per target, every coin of every layer: the reference for
+    the packed repeats builder and its early layer exit."""
+    counts = np.full(n + 1, EXCEEDS_CAP, dtype=np.uint8)
+    counts[0] = 0
+    reach = np.zeros(n + 1, dtype=bool)
+    reach[0] = True
+    for layer in range(1, cap + 1):
+        new = reach.copy()
+        for v in coins:
+            np.logical_or(new[v:], reach[: n + 1 - v], out=new[v:])
+        newly = new & ~reach
+        if not newly.any():
+            break
+        counts[newly] = layer
+        reach = new
+    return counts
+
+
+def bytewise_distinct_table(n: int, coins: list, cap: int) -> np.ndarray:
+    """One byte per target and level, levels folded in descending order:
+    the reference for the packed distinct builder."""
+    levels = np.zeros((cap + 1, n + 1), dtype=bool)
+    levels[0, 0] = True
+    for seen, v in enumerate(coins):
+        for t in range(min(cap, seen + 1), 0, -1):
+            np.logical_or(levels[t, v:], levels[t - 1, : n + 1 - v], out=levels[t, v:])
+    counts = np.full(n + 1, EXCEEDS_CAP, dtype=np.uint8)
+    for t in range(cap, -1, -1):
+        counts[levels[t]] = t
+    return counts
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees while fn runs, above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestRepresentation:
@@ -253,10 +299,57 @@ class TestMinRepTable:
         with pytest.raises(ValueError):
             t.count(11)
 
+    @pytest.mark.parametrize("range_end", [62, 63, 64, 65, 127, 128, 129])
+    def test_word_boundaries_match_python_oracle(self, range_end):
+        # targets and coins on both sides of the 64-bit word edges
+        for k in (2, 3, 4):
+            for mode in ("repeats", "distinct"):
+                oracle = oracle_min_counts(k, range_end, distinct=mode == "distinct")
+                table = min_rep_table(k, range_end, mode=mode)
+                for n in range(range_end + 1):
+                    want = None if oracle[n] == float("inf") else oracle[n]
+                    assert table.count(n) == want, (k, mode, n)
+
+    def test_coin_on_a_word_boundary(self):
+        # C(128, 2) = 8128 = 64 * 127 starts a word
+        assert binom(128, 2) == 64 * 127
+        for mode in ("repeats", "distinct"):
+            oracle = oracle_min_counts(2, 8200, distinct=mode == "distinct")
+            counts = min_rep_table(2, 8200, cap=12, mode=mode).counts
+            want = [EXCEEDS_CAP if c == float("inf") or c > 12 else c for c in oracle]
+            assert counts.tolist() == want, mode
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_packed_builders_equal_bytewise_reference(self, k):
+        n = 2 * 10**5
+        coins = BinomialSequence(k).values_upto(n)
+        for cap in (CAP_MAX, 2):
+            got = min_rep_table(k, n, cap).counts
+            assert np.array_equal(got, bytewise_repeats_table(n, coins, cap)), cap
+        for cap in (8, 3, 2):
+            got = min_rep_table(k, n, cap, "distinct").counts
+            assert np.array_equal(got, bytewise_distinct_table(n, coins, cap)), cap
+
+    def test_tetrahedral_five_term_targets_are_oeis_a000797(self):
+        # Pollock's conjecture: 241 integers need five tetrahedral numbers,
+        # the largest being 343867 (OEIS A000797)
+        five = np.flatnonzero(min_rep_table(3, 10**6).counts == 5)
+        assert five.size == 241
+        assert five[-1] == 343867
+        assert five[:5].tolist() == [17, 27, 33, 52, 73]
+
     def test_memory_budget_enforced(self):
         with pytest.raises(ResourceBudgetError) as info:
             min_rep_table(2, 10**6, memory_budget=1000)
         assert info.value.required > info.value.budget
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("mode", ["repeats", "distinct"])
+    def test_traced_peak_within_estimate(self, k, mode):
+        n = 2 * 10**5
+        with pytest.raises(ResourceBudgetError) as info:
+            min_rep_table(k, n, mode=mode, memory_budget=0)
+        assert traced_peak(lambda: min_rep_table(k, n, mode=mode)) <= info.value.required
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -292,6 +385,20 @@ class TestSurvey:
         assert s.max_terms == 4
         assert s.witnesses == ((20, 4),)
 
+    def test_hit_lists_match_the_table(self):
+        # hits spread over many scan windows, with chunks that split them
+        table = min_rep_table(2, 30000, cap=2).counts
+        for chunk_size in (None, 5000):
+            s = survey_min_rep(
+                2, 1, 30000, cap=2, max_witnesses=6000, max_exceptions=9000,
+                chunk_size=chunk_size,
+            )
+            missing = np.flatnonzero(table[1:] == EXCEEDS_CAP) + 1
+            assert s.max_terms == 2
+            assert [n for n, _ in s.witnesses] == (np.flatnonzero(table[1:] == 2) + 1)[:6000].tolist()
+            assert list(s.exceptions) == missing[:9000].tolist()
+            assert s.exception_count == missing.size
+
     def test_chunking_and_threads_do_not_change_results(self):
         base = survey_min_rep(2, 1, 20000)
         for chunk_size in (17, 1024, 999999):
@@ -316,7 +423,7 @@ class TestCoverage:
         assert sumset_coverage_threshold(10, "distinct") == 10
 
     def test_matches_enumeration(self):
-        for r_max in (10, 50, 137, 400):
+        for r_max in (1, 2, 3, 4, 10, 50, 63, 64, 65, 127, 128, 129, 137, 400):
             for mode in ("repeats", "distinct"):
                 values = BinomialSequence(2).values_upto(r_max)
                 reach = {0} | set(values)
@@ -336,6 +443,14 @@ class TestCoverage:
     def test_memory_budget_enforced(self):
         with pytest.raises(ResourceBudgetError):
             sumset_coverage_threshold(10**6, memory_budget=100)
+
+    @pytest.mark.parametrize("mode", ["repeats", "distinct"])
+    def test_traced_peak_within_estimate(self, mode):
+        r_max = 2 * 10**5
+        with pytest.raises(ResourceBudgetError) as info:
+            sumset_coverage_threshold(r_max, mode, memory_budget=0)
+        peak = traced_peak(lambda: sumset_coverage_threshold(r_max, mode))
+        assert peak <= info.value.required
 
 
 @given(
