@@ -101,7 +101,6 @@ def _run_survey(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
         cap=params["cap"],
         max_witnesses=params["max_witnesses"],
         chunk_size=knobs.chunk_size,
-        threads=knobs.threads,
         **knobs.budget_kwargs(),
     )
     return {

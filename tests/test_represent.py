@@ -17,15 +17,18 @@ from binsum import (
     binom,
     decompose_k2,
     decompose_k3,
+    floor_index,
     greedy_chain,
     greedy_leading_term,
     min_rep_single,
     min_rep_table,
     minimal_representation,
+    multiplicity_map,
     sumset_coverage_threshold,
     survey_min_rep,
     two_triangular,
 )
+from binsum.represent import _two_term_completion
 
 
 def oracle_min_counts(k: int, n_max: int, distinct: bool = False) -> list:
@@ -83,6 +86,51 @@ def bytewise_distinct_table(n: int, coins: list, cap: int) -> np.ndarray:
     for t in range(cap, -1, -1):
         counts[levels[t]] = t
     return counts
+
+
+def reference_search(target: int, k: int, max_terms: int, distinct: bool,
+                     index_cap: int | None = None):
+    """The depth-first search one candidate at a time, down to the last
+    term: the reference for the vectorised two-term completion."""
+
+    def dfs(remainder, budget, cap):
+        if remainder == 0:
+            return ()
+        if budget == 0:
+            return None
+        n = min(cap, floor_index(k, remainder))
+        while n >= k:
+            v = binom(n, k)
+            if v * budget < remainder:
+                return None
+            rest = dfs(remainder - v, budget - 1, n - 1 if distinct else n)
+            if rest is not None:
+                return (n, *rest)
+            n -= 1
+        return None
+
+    if target == 0:
+        return ()
+    return dfs(target, max_terms, floor_index(k, target) if index_cap is None else index_cap)
+
+
+def reference_minimal(target: int, k: int, h_max: int, distinct: bool):
+    for budget in range(1, h_max + 1):
+        found = reference_search(target, k, budget, distinct)
+        if found is not None:
+            return found
+    return None
+
+
+def legendre_pair_counts(r_max: int) -> np.ndarray:
+    """Ordered pairs (x, y), x, y >= 0, with T_x + T_y = r for r <= r_max,
+    where T_x = x (x + 1) / 2 = C(x + 1, 2): d_1(4r + 1) - d_3(4r + 1)
+    (Legendre), from a divisor sieve with the character mod 4."""
+    m_max = 4 * r_max + 1
+    chi = np.zeros(m_max + 1, dtype=np.int64)
+    for d in range(1, m_max + 1, 2):
+        chi[d::d] += 1 if d % 4 == 1 else -1
+    return chi[1::4]
 
 
 def traced_peak(fn) -> int:
@@ -169,6 +217,41 @@ class TestTwoTriangular:
             got = two_triangular(r, SearchMode.DISTINCT)
             assert (got is not None) == ok, r
 
+    def test_legendre_count_decides_existence(self):
+        # positive pairs = Legendre's count minus the two T_0 pairs of a
+        # triangular r; distinct mode also drops the pair (a, a) of r = 2 T(a)
+        r_max = 10**5
+        pairs = legendre_pair_counts(r_max)
+        triangular = set(BinomialSequence(2).values_upto(r_max))
+        doubled = {2 * t for t in triangular}
+        for r in range(1, r_max + 1):
+            tri = r in triangular
+            positive = int(pairs[r]) - 2 * tri
+            assert (two_triangular(r) is not None) == (tri or positive > 0), r
+            distinct = tri or positive - (r in doubled) > 0
+            assert (two_triangular(r, "distinct") is not None) == distinct, r
+
+    def test_legendre_count_matches_multiplicity_map(self):
+        s_max = binom(200, 2)
+        pairs = legendre_pair_counts(s_max)
+        triangular = set(BinomialSequence(2).values_upto(s_max))
+        tally = multiplicity_map(2, 2, 200)
+        for s in range(1, s_max + 1):
+            assert tally.get(s, 0) == int(pairs[s]) - 2 * (s in triangular), s
+
+    @pytest.mark.parametrize(
+        "remainder", [1336164615, 2102933990, 4653837030, 2331445222, 1200000000]
+    )
+    def test_scan_longer_than_one_block(self, remainder):
+        # the first witness lies more than two 4096-candidate blocks below
+        # the top, then exactly 4096 below it (the first candidate of the
+        # second block); 1.2e9 has no witness among about 14k candidates
+        for distinct in (False, True):
+            mode = "distinct" if distinct else "repeats"
+            assert two_triangular(remainder, mode) == reference_search(
+                remainder, 2, 2, distinct
+            )
+
 
 class TestDecompose:
     def test_k2_hand_values(self):
@@ -240,6 +323,164 @@ class TestMinimalRepresentation:
             table = min_rep_table(2, 300, cap=9, mode=mode)
             for n in range(1, 301):
                 assert table.count(n) == min_rep_single(n, 2, 9, mode), (n, mode)
+
+
+class TestSingleTargetSearch:
+    """The vectorised two-term completion returns the witnesses of the
+    search that walks one candidate at a time."""
+
+    # decompose_k2 in both modes at 40 seeded targets in [10^3, 10^15] (22
+    # need the bounded search), recorded before the completion was
+    # vectorised
+    GOLDEN_K2 = [
+        (2435, (70, 5, 5), (68, 17, 7)),
+        (4700, (95, 20, 10), (95, 20, 10)),
+        (14361, (169, 16, 10), (169, 16, 10)),
+        (21431, (207, 11, 11), (200, 53, 18)),
+        (24375, (221, 11, 5), (221, 11, 5)),
+        (169171, (582, 11, 10), (582, 11, 10)),
+        (257457, (717, 37, 15), (717, 37, 15)),
+        (446341, (945, 25, 2), (945, 25, 2)),
+        (749807, (1223, 68, 24), (1223, 68, 24)),
+        (1869479, (1934, 23, 6), (1934, 23, 6)),
+        (664019324, (36437, 643, 86), (36437, 643, 86)),
+        (1038242936, (45567, 416, 86), (45567, 416, 86)),
+        (1066376841, (46182, 151, 10), (46182, 151, 10)),
+        (2993114006, (77370, 419, 116), (77370, 419, 116)),
+        (3468981415, (83293, 467, 324), (83293, 467, 324)),
+        (3735665849, (86436, 458, 164), (86436, 458, 164)),
+        (4746677580, (97428, 1014, 459), (97428, 1014, 459)),
+        (6563821707, (114576, 297, 102), (114576, 297, 102)),
+        (8112516176, (127377, 500, 101), (127377, 500, 101)),
+        (11579210816, (152177, 851, 106), (152177, 851, 106)),
+        (19178661557, (195850, 497, 224), (195850, 497, 224)),
+        (32086852285, (253325, 516, 370), (253325, 516, 370)),
+        (185217048080, (608633, 737, 184), (608633, 737, 184)),
+        (357417503726, (845474, 2285, 2086), (845474, 2285, 2086)),
+        (2351633970763, (2168701, 2193, 1130), (2168701, 2193, 1130)),
+        (2672002293403, (2311708, 3266, 1536), (2311708, 3266, 1536)),
+        (3730716571115, (2731562, 2057, 828), (2731562, 2057, 828)),
+        (6665449331668, (3651150, 1820, 1638), (3651150, 1820, 1638)),
+        (7167119736960, (3786057, 3942, 343), (3786057, 3942, 343)),
+        (16213150386965, (5694410, 830, 730), (5694410, 830, 730)),
+        (19111084210447, (6182405, 6432, 1287), (6182405, 6432, 1287)),
+        (23028471934731, (6786526, 3912, 456), (6786526, 3912, 456)),
+        (32244796972850, (8030540, 5411, 106), (8030540, 5411, 106)),
+        (36785482496220, (8577352, 1912, 1608), (8577352, 1912, 1608)),
+        (59067913891021, (10869028, 7738, 3020), (10869028, 7738, 3020)),
+        (67206709365533, (11593676, 10313, 886), (11593676, 10313, 886)),
+        (73570593094817, (12130175, 7259, 322), (12130175, 7259, 322)),
+        (117962986095658, (15359882, 3349, 1134), (15359882, 3349, 1134)),
+        (118145772667974, (15371777, 4160, 3908), (15371777, 4160, 3908)),
+        (136256239683552, (16507952, 4052, 476), (16507952, 4052, 476)),
+    ]
+
+    # min-rep --k 3 at seeded targets up to 10^6, recorded the same way
+    GOLDEN_MIN_REP_K3 = [
+        (19, (5, 4, 4, 3)),
+        (30, (6, 5)),
+        (38, (7, 3, 3, 3)),
+        (46, (7, 5, 3)),
+        (97, (8, 6, 6, 3)),
+        (101, (8, 7, 5)),
+        (138, (10, 5, 4, 4)),
+        (1053, (19, 9)),
+        (1423, (19, 13, 9, 9)),
+        (1988, (22, 14, 9)),
+        (2332, (23, 16, 3)),
+        (3651, (28, 14, 5, 3)),
+        (7253, (36, 8, 8, 3)),
+        (34851, (60, 15, 10, 8)),
+        (55451, (63, 46, 16)),
+        (134919, (77, 59, 57)),
+        (220450, (107, 51, 20)),
+        (545875, (149, 30, 22, 3)),
+        (840382, (168, 57, 53, 42)),
+        (864571, (173, 45, 25, 7)),
+    ]
+
+    def test_golden_decompose_k2(self):
+        for target, repeats, distinct in self.GOLDEN_K2:
+            assert decompose_k2(target).indices == repeats, target
+            assert decompose_k2(target, "distinct").indices == distinct, target
+
+    def test_golden_min_rep_k3(self):
+        for target, indices in self.GOLDEN_MIN_REP_K3:
+            assert minimal_representation(target, 3).indices == indices, target
+
+    def test_minimal_representation_matches_reference(self):
+        rng = np.random.default_rng(11)
+        for k, hi, h_max in ((2, 10**6, 3), (3, 10**4, 5), (4, 3000, 6), (5, 2000, 6), (6, 1500, 5)):
+            for target in rng.integers(1, hi, size=40).tolist():
+                for distinct in (False, True):
+                    mode = "distinct" if distinct else "repeats"
+                    rep = minimal_representation(target, k, h_max, mode)
+                    expected = reference_minimal(target, k, h_max, distinct)
+                    assert (None if rep is None else rep.indices) == expected, (k, target, mode)
+
+    def test_small_indices_near_the_order(self):
+        # the rounded index estimate is least accurate for b close to k
+        for k in range(2, 7):
+            for a in range(k, k + 30):
+                for b in range(k, a + 1):
+                    target = binom(a, k) + binom(b, k)
+                    for distinct in (False, True):
+                        mode = "distinct" if distinct else "repeats"
+                        rep = minimal_representation(target, k, 2, mode)
+                        expected = reference_minimal(target, k, 2, distinct)
+                        assert (None if rep is None else rep.indices) == expected
+
+    def test_index_cap_matches_reference(self):
+        # the bounded search caps the leading index of every two-terms-left node
+        for k in (2, 3):
+            for r in range(1, 300):
+                for cap in range(1, 26):
+                    for distinct in (False, True):
+                        expected = reference_search(r, k, 2, distinct, index_cap=cap)
+                        got = _two_term_completion(r, k, cap, distinct)
+                        assert got == expected, (k, r, cap, distinct)
+
+    @pytest.mark.parametrize(
+        "target, distinct",
+        [(1500000000000, False), (32928790723384, True), (33956732891060, True)],
+    )
+    def test_order_three_scan_longer_than_one_block(self, target, distinct):
+        mode = "distinct" if distinct else "repeats"
+        rep = minimal_representation(target, 3, 2, mode)
+        assert (None if rep is None else rep.indices) == reference_minimal(target, 3, 2, distinct)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_int64_limit_edges(self, k):
+        # the largest top with top ** k < 2 ** 62 takes the int64 scan, the
+        # next one (and one whose products pass 2 ** 64) the Python-int
+        # walk; C(b, k) below the gap C(top, k - 1) keeps top the first
+        # candidate, so (top, b) is the witness
+        limit = round(2 ** (62 / k))
+        while limit**k >= 2**62:
+            limit -= 1
+        while (limit + 1) ** k < 2**62:
+            limit += 1
+        for top in (limit, limit + 1, 2 * limit):
+            widest = floor_index(k, binom(top, k - 1) - 1)
+            for b in (k, k + 1, widest // 2, widest):
+                target = binom(top, k) + binom(b, k)
+                assert minimal_representation(target, k, 2).indices == (top, b)
+                if b < top:
+                    rep = minimal_representation(target, k, 2, "distinct")
+                    assert rep.indices == (top, b)
+
+    def test_huge_targets_answer_in_little_memory(self):
+        # no array sized by the target: both answers come from the top of
+        # their candidate ranges
+        big = binom(2**70, 2) + binom(2**34, 2) + binom(5, 2)
+        for mode in ("repeats", "distinct"):
+            peak = traced_peak(lambda: decompose_k2(big, mode))
+            assert peak < 2**20
+            assert decompose_k2(big, mode).indices == (2**70, 2**34, 5)
+        assert traced_peak(lambda: decompose_k3(10**40)) < 2**20
+        assert decompose_k3(10**40).indices == (
+            39148676411689, 1429970567, 1610593, 10025, 263, 29, 25
+        )
 
 
 class TestMinRepTable:
@@ -399,14 +640,10 @@ class TestSurvey:
             assert list(s.exceptions) == missing[:9000].tolist()
             assert s.exception_count == missing.size
 
-    def test_chunking_and_threads_do_not_change_results(self):
+    def test_chunking_does_not_change_results(self):
         base = survey_min_rep(2, 1, 20000)
         for chunk_size in (17, 1024, 999999):
-            for threads in (1, 4):
-                again = survey_min_rep(
-                    2, 1, 20000, chunk_size=chunk_size, threads=threads
-                )
-                assert again == base
+            assert survey_min_rep(2, 1, 20000, chunk_size=chunk_size) == base
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
