@@ -1,8 +1,9 @@
 """Exact arithmetic for the increasing sequences C(n, k) and n**k.
 
 Everything here is integer exact. Python ints are arbitrary precision, so
-no magnitude can overflow; floats appear only in the diagnostic ratio
-helper and never feed back into exact logic.
+no magnitude can overflow. Floats appear in the diagnostic ratio helper
+and as floor_index's starting estimate, which exact binom steps correct;
+no float decides a result.
 """
 from __future__ import annotations
 
@@ -17,6 +18,10 @@ __all__ = [
     "BinomialSequence",
     "PowerSequence",
 ]
+
+# floor_index takes a float k-th root while k! * bound has at most this
+# many bits per order, so the root (below 2**40) is off by far less than 1.
+_FLOAT_ROOT_BITS = 40
 
 
 def _require_order(k: int) -> None:
@@ -65,11 +70,24 @@ def _bracket_floor(value_at, lo: int, bound: int) -> int:
     return lo
 
 
+def _iroot(m: int, k: int) -> int:
+    """floor(m ** (1/k)) for m >= 1, exactly: Newton's method from above."""
+    x = 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def floor_index(k: int, bound: int) -> int:
     """Largest n with C(n, k) <= bound, for k >= 1 and bound >= 1.
 
-    bound >= 1 guarantees n = k qualifies. Orders 1 and 2 have closed forms;
-    the rest use exponential bracketing plus binary search.
+    bound >= 1 guarantees n = k qualifies. Orders 1 and 2 have closed forms.
+    Higher orders start from (k! bound) ** (1/k) + (k - 1) / 2, which AM-GM
+    puts below the answer plus one and close to it, and correct it with
+    exact binom steps. The root is a float while k! bound stays small enough
+    for the float to be close (and finite); otherwise an exact integer root.
     """
     _require_order(k)
     if bound < 1:
@@ -83,7 +101,17 @@ def floor_index(k: int, bound: int) -> int:
         while (n + 1) * n // 2 <= bound:
             n += 1
         return n
-    return _bracket_floor(lambda n: binom(n, k), k, bound)
+    scaled = math.factorial(k) * bound
+    if scaled.bit_length() <= min(_FLOAT_ROOT_BITS * k, 1000):
+        n = int(scaled ** (1 / k) + (k - 1) / 2)
+    else:
+        n = _iroot(scaled, k) + (k - 1) // 2
+    n = max(n, k)
+    while binom(n, k) > bound:
+        n -= 1
+    while binom(n + 1, k) <= bound:
+        n += 1
+    return n
 
 
 def count_upto(k: int, bound: int) -> int:

@@ -18,14 +18,19 @@ Three interchangeable tally strategies produce identical (sums, counts):
   mitm      enumerate both halves of the tuple, then convolve the two
             tallies (cost roughly len**ceil(h/2) plus the cross product
             of distinct half sums)
-  convolve  fold the value list into a dense count array one factor at a
-            time (cost (h-1) * len * max_sum; wins when sums are dense)
+  convolve  a dense count array indexed by sum (wins when sums are
+            dense). Large inputs take a float FFT whose proposed counts
+            count only once an exact integer certificate accepts them;
+            the rest, and any proposal the certificate rejects, fold the
+            value list in one factor at a time with integer shifted adds
+            (cost (h-1) * len * max_sum).
 
 "auto" uses direct for h <= 2, then convolve when the dense array fits the
-budget, then mitm.
+budget, then mitm. Floats never decide a count.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,6 +57,22 @@ SequenceLike = BinomialSequence | PowerSequence
 DEFAULT_ENUMERATION_BUDGET = 20_000_000
 DEFAULT_DENSE_BUDGET = 150_000_000
 _PYTHON_FALLBACK_BUDGET = 1_000_000
+
+# The convolve strategy's FFT kernel takes over from the fold at this many
+# shifted adds per cell, (h - 1) * len(values): about where it beats a
+# two-thread fold at order 2 on a 2-core host (a one-thread fold loses from
+# about 500; at order 3 with millions of cells a two-thread fold holds on
+# to about 1000).
+_FFT_CROSSOVER = 600
+# The dense budget counts cells. At that many cells the serial fold holds
+# two int32 arrays, 8 B per cell; the FFT kernel may use as many bytes.
+_BUDGET_CELL_BYTES = 8
+_CALL_BYTES = 64 * 1024
+# The FFT certificate works modulo the Mersenne prime 2**61 - 1, on rows
+# of 1024 counts and 21-bit limbs of the powers of x.
+_P61 = 2**61 - 1
+_CERT_ROW = 1024
+_LIMB_BITS = 21
 
 STRATEGIES = ("auto", "direct", "mitm", "convolve")
 
@@ -157,29 +178,120 @@ def _tally_mitm(values: list[int], h: int, budget: int, dtype: type) -> Tally:
     return _combine(left, right, budget)
 
 
-def _dense_counts(
-    values: list[int], h: int, dense_budget: int, threads: int = 1
-) -> np.ndarray:
-    """Dense array of tuple counts indexed by sum, via repeated convolution.
+def _smooth_length(cells: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= cells, a length pocketfft handles fast."""
+    best = 2 * cells
+    odd = 1
+    while odd < best:
+        m = odd
+        while m < best:
+            length = m << ((cells - 1) // m).bit_length()
+            best = min(best, length)
+            m *= 3
+        odd *= 5
+    return best
+
+
+def _fft_bytes(values: list[int], h: int) -> int:
+    """Peak-byte estimate of _fft_counts: 40 B per transform cell.
+
+    That is the float indicator, the spectrum, its power, the irfft output
+    and the int64 counts at 8 B per cell each (the complex arrays have
+    half as many cells). The kernel frees each array once it is used, so
+    the same total also covers pocketfft's untracked working memory of
+    about 16 B per cell. 64 KiB per call cover the limb table and small
+    objects.
+    """
+    return 40 * _smooth_length(h * values[-1] + 1) + _CALL_BYTES
+
+
+def _power_limbs(x: int) -> np.ndarray:
+    """x**j mod 2**61 - 1 for j < 1024, as three 21-bit int64 limbs each."""
+    powers = [1] * _CERT_ROW
+    for j in range(1, _CERT_ROW):
+        powers[j] = powers[j - 1] * x % _P61
+    shifts = np.arange(3, dtype=np.int64) * _LIMB_BITS
+    return (np.array(powers, dtype=np.int64)[:, None] >> shifts) & ((1 << _LIMB_BITS) - 1)
+
+
+def _poly_mod(coeffs: np.ndarray, x: int, limbs: np.ndarray) -> int:
+    """sum(coeffs[j] * x**j) mod 2**61 - 1, exactly, for int64 coeffs in
+    [0, 2**31] and limbs = _power_limbs(x).
+
+    The coefficients are cut into rows of 1024, so each int64 row-times-limb
+    dot product stays below 2**31 * 2**21 * 2**10 = 2**62. The rows are
+    recombined by Horner's rule in x**1024 on Python ints.
+    """
+    rows = len(coeffs) // _CERT_ROW
+    tail = coeffs[rows * _CERT_ROW :]
+    dots = np.vstack([
+        coeffs[: rows * _CERT_ROW].reshape(rows, _CERT_ROW) @ limbs,
+        tail @ limbs[: len(tail)],
+    ])
+    step = pow(x, _CERT_ROW, _P61)
+    acc = 0
+    for low, mid, high in reversed(dots.tolist()):
+        acc = (acc * step + low + (mid << _LIMB_BITS) + (high << 2 * _LIMB_BITS)) % _P61
+    return acc
+
+
+def _certify(counts: np.ndarray, values: list[int], h: int, x: int) -> bool:
+    """Whether counts are the exact h-fold tally, for a uniformly random x
+    and len(values)**(h-1) < 2**31.
+
+    No cell of the true tally exceeds len(values)**(h-1), the cells total
+    len(values)**h, and as polynomials P(x)**h = sum(counts[s] * x**s) with
+    P(x) = sum(x**v). A wrong vector within the bounds differs from the
+    truth by a nonzero polynomial of degree below len(counts) modulo the
+    prime 2**61 - 1, so it passes with probability at most len(counts) /
+    2**61 (Schwartz-Zippel), below 2**-33 within the default dense budget.
+    """
+    n = len(values)
+    if counts.min() < 0 or counts.max() > n ** (h - 1):
+        return False
+    if int(counts.sum()) != n**h:
+        return False
+    indicator = np.zeros(values[-1] + 1, dtype=np.int64)
+    indicator[values] = 1
+    limbs = _power_limbs(x)
+    return pow(_poly_mod(indicator, x, limbs), h, _P61) == _poly_mod(counts, x, limbs)
+
+
+def _fft_counts(values: list[int], h: int) -> np.ndarray | None:
+    """The dense tally proposed by a float FFT, or None if uncertified.
+
+    The 0/1 indicator of the values is transformed once, its spectrum
+    raised to the h-th power by repeated multiplies, transformed back and
+    rounded. Floats only propose the counts; _certify decides them.
+    """
+    from numpy import fft
+
+    cells = h * values[-1] + 1
+    length = _smooth_length(cells)
+    indicator = np.zeros(length)
+    indicator[values] = 1.0
+    spectrum = fft.rfft(indicator)
+    del indicator
+    power = spectrum * spectrum
+    for _ in range(h - 2):
+        power *= spectrum
+    del spectrum
+    proposal = fft.irfft(power, length)
+    del power
+    counts = np.empty(cells, dtype=np.int64)
+    np.rint(proposal[:cells], out=counts, casting="unsafe")
+    del proposal
+    x = random.SystemRandom().randrange(_P61)
+    return counts if _certify(counts, values, h, x) else None
+
+
+def _fold_counts(values: list[int], h: int, threads: int) -> np.ndarray:
+    """Dense tally by repeated convolution, in exact integers.
 
     Cell j after folding i factors counts the ordered i-tuples summing to j,
     so each fold is len(values) shifted adds. Counts are bounded by
-    len(values)**(h-1) per cell, which picks the dtype. Exact integer
-    arithmetic throughout; no floats, no FFT.
+    len(values)**(h-1) per cell, which picks the dtype.
     """
-    if not _fits_int64(values, h):
-        raise ResourceBudgetError(
-            "dense convolution needs sums below 2**62",
-            required=h * values[-1],
-            budget=2**62,
-        )
-    top = h * values[-1] + 1
-    if top > dense_budget:
-        raise ResourceBudgetError(
-            "dense convolution exceeds the cell budget",
-            required=top,
-            budget=dense_budget,
-        )
     dtype = np.int32 if len(values) ** (h - 1) < 2**31 else np.int64
     vals = np.asarray(values, dtype=np.int64)
     acc = np.zeros(values[-1] + 1, dtype=dtype)
@@ -206,6 +318,40 @@ def _dense_counts(
             fold(vals, nxt)
         acc = nxt
     return acc
+
+
+def _dense_counts(
+    values: list[int], h: int, dense_budget: int, threads: int = 1
+) -> np.ndarray:
+    """Dense array of tuple counts indexed by sum, exact.
+
+    Two kernels: the certified FFT once (h-1) * len(values) shifted adds
+    reach _FFT_CROSSOVER, every count fits int32 and its byte estimate
+    fits the budget; otherwise, or when its certificate fails, the
+    integer fold.
+    """
+    if not _fits_int64(values, h):
+        raise ResourceBudgetError(
+            "dense convolution needs sums below 2**62",
+            required=h * values[-1],
+            budget=2**62,
+        )
+    top = h * values[-1] + 1
+    if top > dense_budget:
+        raise ResourceBudgetError(
+            "dense convolution exceeds the cell budget",
+            required=top,
+            budget=dense_budget,
+        )
+    if (
+        (h - 1) * len(values) >= _FFT_CROSSOVER
+        and len(values) ** (h - 1) < 2**31
+        and _fft_bytes(values, h) <= _BUDGET_CELL_BYTES * dense_budget
+    ):
+        counts = _fft_counts(values, h)
+        if counts is not None:
+            return counts
+    return _fold_counts(values, h, threads)
 
 
 def _pick_strategy(
@@ -239,7 +385,7 @@ def _tally(
         return _tally_mitm(values, h, enumeration_budget, dtype)
     dense = _dense_counts(values, h, dense_budget, threads)
     keys = np.flatnonzero(dense)
-    return keys.astype(dtype, copy=False), dense[keys].astype(dtype)
+    return keys.astype(dtype, copy=False), dense[keys].astype(dtype, copy=False)
 
 
 def multiplicity_map(

@@ -254,7 +254,11 @@ def _two_term_completion(
 
 
 def _bounded_search(
-    target: int, k: int, max_terms: int, mode: SearchMode
+    target: int,
+    k: int,
+    max_terms: int,
+    mode: SearchMode,
+    index_cap: int | None = None,
 ) -> tuple[int, ...] | None:
     """A representation of target with at most max_terms summands, or None.
 
@@ -262,7 +266,8 @@ def _bounded_search(
     previous one (strictly below it in distinct mode) and never exceeds the
     floor index of the remainder; a branch dies once even max copies of its
     largest usable value cannot reach the remainder. The last two levels
-    are one vectorised scan, _two_term_completion.
+    are one vectorised scan, _two_term_completion. index_cap, if given,
+    caps the leading index.
     """
     distinct = mode is SearchMode.DISTINCT
 
@@ -284,7 +289,9 @@ def _bounded_search(
 
     if target == 0:
         return ()
-    return dfs(target, max_terms, floor_index(k, target))
+    if index_cap is None:
+        index_cap = floor_index(k, target)
+    return dfs(target, max_terms, index_cap)
 
 
 def minimal_representation(
@@ -345,7 +352,11 @@ def decompose_k2(
         indices = (n1, *tail)
         if mode is SearchMode.REPEATS or len(set(indices)) == len(indices):
             return Representation(target, 2, indices)
-    found = _bounded_search(target, 2, 3, mode)
+    # A failed completion was the search's first branch (leading term n1),
+    # so the search starts below n1. A tail rejected only for reusing n1
+    # was not, so the search keeps n1.
+    cap = n1 if tail is not None else n1 - 1
+    found = _bounded_search(target, 2, 3, mode, cap)
     return None if found is None else Representation(target, 2, found)
 
 

@@ -1,5 +1,6 @@
 """Exact-arithmetic layer: coefficients, floor indices, counts, gaps."""
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,42 @@ def test_floor_index_is_tight():
             n = floor_index(k, bound)
             assert binom(n, k) <= bound
             assert binom(n + 1, k) > bound
+
+
+def bracket_floor_index(k: int, bound: int) -> int:
+    """Largest n with C(n, k) <= bound by doubling and bisection on
+    math.comb: the reference floor_index's root estimate must match."""
+    lo, hi = k, k + 1
+    while math.comb(hi, k) <= bound:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.comb(mid, k) <= bound:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_floor_index_matches_bracket_reference():
+    rng = random.Random(20260)
+    for k in range(3, 11):
+        indices = list(range(k, k + 150)) + [rng.randrange(k, 10**6) for _ in range(200)]
+        bounds = [rng.randrange(1, 10 ** rng.randrange(1, 61)) for _ in range(200)]
+        for n in indices + [bracket_floor_index(k, b) for b in bounds]:
+            for bound in (math.comb(n, k) - 1, math.comb(n, k), math.comb(n, k) + 1):
+                if bound >= 1:
+                    assert floor_index(k, bound) == bracket_floor_index(k, bound), (k, bound)
+        for bound in bounds:
+            assert floor_index(k, bound) == bracket_floor_index(k, bound), (k, bound)
+
+
+def test_floor_index_past_the_float_range():
+    # k! * bound beyond 2**1000 takes an exact integer root, not a float;
+    # order 100 near its first values starts furthest from the answer
+    for k, bound in ((3, 10**400), (5, 2**2000 + 7), (30, 10**300), (100, 10**5)):
+        n = floor_index(k, bound)
+        assert math.comb(n, k) <= bound < math.comb(n + 1, k), (k, bound)
 
 
 def test_floor_index_rejects_bad_inputs():

@@ -1,5 +1,7 @@
 """Multiplicity tallies, energy reports, restricted sums, exponent fits."""
 import itertools
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +21,26 @@ from binsum import (
     index_bound_for,
     multiplicity_extremes,
     multiplicity_map,
+    records_to_csv,
+    records_to_json,
     restricted_distinct_sums,
+    run_experiment,
 )
-from binsum.energy import _aggregate, _combine, _tally, _top
+from binsum import energy
+from binsum.energy import (
+    _P61,
+    _aggregate,
+    _certify,
+    _combine,
+    _fft_bytes,
+    _fft_counts,
+    _fold_counts,
+    _poly_mod,
+    _power_limbs,
+    _smooth_length,
+    _tally,
+    _top,
+)
 
 
 def oracle_tally(values, h):
@@ -31,6 +50,11 @@ def oracle_tally(values, h):
         s = sum(combo)
         tally[s] = tally.get(s, 0) + 1
     return tally
+
+
+def sequence_values(k, m, sequence):
+    seq = BinomialSequence(k) if sequence == "binomial" else PowerSequence(k)
+    return [seq.value(n) for n in range(seq.first_index, m + 1)]
 
 
 class TestMultiplicityMap:
@@ -324,3 +348,171 @@ def test_tally_strategies_agree_randomized(k, h, extra):
     mitm = multiplicity_map(k, h, m, strategy="mitm")
     convolve = multiplicity_map(k, h, m, strategy="convolve")
     assert direct == mitm == convolve
+
+
+class TestFftKernel:
+    """convolve's float FFT only proposes counts: the exact certificate
+    decides them, and the integer fold answers whenever it refuses."""
+
+    def test_matches_fold_and_direct_on_a_seeded_grid(self):
+        rng = random.Random(4105)
+        cases = 0
+        for k in (2, 3, 4):
+            for h in (3, 4, 5):
+                for sequence in ("binomial", "power"):
+                    seq = BinomialSequence(k) if sequence == "binomial" else PowerSequence(k)
+                    # at most 3 * 10**5 tuples (direct) and 2 * 10**6 cells
+                    count = int((3 * 10**5) ** (1 / h))
+                    top = min(seq.first_index + count - 1, seq.floor_index(2 * 10**6 // h))
+                    for m in {top, rng.randrange(seq.first_index + 2, top)}:
+                        values = sequence_values(k, m, sequence)
+                        counts = _fft_counts(values, h)
+                        assert counts is not None, (k, h, sequence, m)
+                        assert np.array_equal(counts, _fold_counts(values, h, 1))
+                        sums, direct = _tally(values, h, "direct", 10**6, 0)
+                        assert np.array_equal(np.flatnonzero(counts), sums)
+                        assert np.array_equal(counts[sums], direct)
+                        cases += 1
+        assert cases >= 30
+
+    def test_routing(self, monkeypatch):
+        proposed = []
+        real = energy._fft_counts
+        monkeypatch.setattr(
+            energy, "_fft_counts", lambda v, h: proposed.append(h) or real(v, h)
+        )
+
+        def takes_fft(values, h, dense_budget=energy.DEFAULT_DENSE_BUDGET):
+            proposed.clear()
+            dense = energy._dense_counts(values, h, dense_budget)
+            assert np.array_equal(dense, _fold_counts(values, h, 1))
+            return bool(proposed)
+
+        length = -(-energy._FFT_CROSSOVER // 2)
+        at = sequence_values(2, length + 1, "binomial")
+        assert len(at) == length
+        assert takes_fft(at, 3)
+        assert not takes_fft(at[:-1], 3)  # below the crossover
+        # order 1, h = 4: 1291**3 >= 2**31, so a count could pass int32
+        wide = list(range(1, 1292))
+        assert 3 * len(wide) >= energy._FFT_CROSSOVER and len(wide) ** 3 >= 2**31
+        assert not takes_fft(wide, 4)
+        # the byte estimate must fit 8 B per budget cell
+        cells = 3 * at[-1] + 1
+        assert not takes_fft(at, 3, dense_budget=cells)
+        assert takes_fft(at, 3, dense_budget=_fft_bytes(at, 3) // 8)
+        assert not takes_fft(at, 3, dense_budget=_fft_bytes(at, 3) // 8 - 1)
+
+    def test_certificate_rejects_a_perturbation_that_keeps_the_total(self, monkeypatch):
+        values = sequence_values(2, 320, "binomial")
+        exact = _fold_counts(values, 3, 1).astype(np.int64)
+        i, j = np.flatnonzero(exact)[[100, 2000]]
+        bad = exact.copy()
+        bad[i] += 1
+        bad[j] -= 1
+        assert bad.sum() == exact.sum() and bad.min() >= 0
+        rng = random.Random(2**61 - 1)
+        for _ in range(5):
+            x = rng.randrange(_P61)
+            assert _certify(exact, values, 3, x)
+            assert not _certify(bad, values, 3, x)
+        # the public call: the proposal is perturbed the same way before
+        # certification, the certificate refuses it and the fold answers
+        verdicts = []
+
+        def perturbed(counts, values, h, x):
+            counts[i] += 1
+            counts[j] -= 1
+            verdicts.append(real(counts, values, h, x))
+            return verdicts[-1]
+
+        real = energy._certify
+        monkeypatch.setattr(energy, "_certify", perturbed)
+        sums, counts = _tally(values, 3, "convolve", 0, energy.DEFAULT_DENSE_BUDGET)
+        assert verdicts == [False]
+        assert np.array_equal(sums, np.flatnonzero(exact))
+        assert np.array_equal(counts, exact[sums])
+
+    def test_total_check_catches_what_the_modular_check_misses(self):
+        # at x = -1, adding 1 at two adjacent sums leaves sum(c_s x**s) as is
+        x = _P61 - 1
+        values = sequence_values(2, 320, "binomial")
+        exact = _fold_counts(values, 3, 1).astype(np.int64)
+        s = int(np.flatnonzero(exact)[50])
+        bad = exact.copy()
+        bad[s : s + 2] += 1
+        limbs = _power_limbs(x)
+        assert _poly_mod(bad, x, limbs) == _poly_mod(exact, x, limbs)
+        assert _certify(exact, values, 3, x)
+        assert not _certify(bad, values, 3, x)
+
+    def test_bounds_catch_what_the_modular_check_misses(self):
+        # values 1, 2 with h = 2 tally [1, 2, 1] on sums 2..4; at x = 1 the
+        # modular check compares totals only
+        assert _certify(np.array([0, 0, 1, 2, 1]), [1, 2], 2, 1)
+        assert not _certify(np.array([0, 0, 0, 3, 1]), [1, 2], 2, 1)  # 3 > 2**1
+        assert not _certify(np.array([-1, 0, 2, 2, 1]), [1, 2], 2, 1)
+
+    def test_modular_evaluation_matches_python_ints(self):
+        rng = random.Random(1024)
+        for length in (0, 1, 1023, 1024, 1025, 3000):
+            for x in (rng.randrange(_P61), _P61 - 1, 2**21 - 1):
+                coeffs = [rng.randrange(2**31 + 1) for _ in range(length)]
+                coeffs[: length // 3] = [2**31] * (length // 3)  # the largest allowed
+                want = sum(c * pow(x, j, _P61) for j, c in enumerate(coeffs)) % _P61
+                got = _poly_mod(np.array(coeffs, dtype=np.int64), x, _power_limbs(x))
+                assert got == want, (length, x)
+
+    def test_smooth_length(self):
+        def smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        for cells in list(range(1, 2000)) + [958801, 1282051, 5997001]:
+            length = _smooth_length(cells)
+            assert length >= cells and smooth(length)
+            assert not any(smooth(n) for n in range(cells, min(length, cells + 5000)))
+
+    def test_peak_stays_under_the_byte_estimate(self):
+        # The estimate also covers pocketfft's untracked working memory,
+        # about 16 B per transform cell; the traced arrays get the rest.
+        for m in (320, 700):
+            values = sequence_values(2, m, "binomial")
+            length = _smooth_length(3 * values[-1] + 1)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert _fft_counts(values, 3) is not None
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak + 16 * length <= _fft_bytes(values, 3), m
+
+    def test_exports_identical_across_threads_and_kernels(self, monkeypatch):
+        requests = (
+            ("energy", {"k": 2, "h": 3, "index_bound": 340, "top": 12}),
+            ("energy", {"k": 2, "h": 4, "index_bound": 210, "sequence": "power"}),
+            ("restricted-sums", {"k": 2, "h": 3, "x": 10**4 * 2**5}),
+            ("exponent-fit", {"k": 2, "h": 3, "bounds": [10**4, 10**5, 2 * 10**5]}),
+        )
+
+        def exports():
+            out = []
+            for threads in (1, 2):
+                for kind, params in requests:
+                    record, _ = run_experiment(kind, params, threads=threads)
+                    out.append(records_to_json([record]) + records_to_csv([record]))
+            return out
+
+        proposed = []
+        real = energy._fft_counts
+        monkeypatch.setattr(
+            energy, "_fft_counts", lambda v, h: proposed.append(h) or real(v, h)
+        )
+        with_fft = exports()
+        assert len(proposed) == 2 * 5  # two energies, the ladder, two fit bounds
+        assert with_fft[: len(requests)] == with_fft[len(requests) :]
+        monkeypatch.setattr(energy, "_FFT_CROSSOVER", 10**9)
+        assert exports() == with_fft

@@ -28,6 +28,7 @@ from binsum import (
     survey_min_rep,
     two_triangular,
 )
+from binsum import represent
 from binsum.represent import _two_term_completion
 
 
@@ -403,6 +404,25 @@ class TestSingleTargetSearch:
         for target, repeats, distinct in self.GOLDEN_K2:
             assert decompose_k2(target).indices == repeats, target
             assert decompose_k2(target, "distinct").indices == distinct, target
+
+    def test_k2_fallback_skips_the_failed_completion(self, monkeypatch):
+        # every scan at a leading term n has its own remainder N - C(n, 2),
+        # so a repeated remainder is a repeated scan
+        remainders = []
+        real = represent._two_term_completion
+        monkeypatch.setattr(
+            represent,
+            "_two_term_completion",
+            lambda r, *rest: remainders.append(r) or real(r, *rest),
+        )
+        fallbacks = 0
+        for target, repeats, distinct in self.GOLDEN_K2:
+            for mode, indices in (("repeats", repeats), ("distinct", distinct)):
+                remainders.clear()
+                assert decompose_k2(target, mode).indices == indices, target
+                assert len(remainders) == len(set(remainders)), (target, mode)
+                fallbacks += len(remainders) > 1
+        assert fallbacks >= 20
 
     def test_golden_min_rep_k3(self):
         for target, indices in self.GOLDEN_MIN_REP_K3:
