@@ -41,7 +41,8 @@ def _output_options(f):
         "--threads",
         type=int,
         default=None,
-        help="Worker threads (default: all cores). Never changes results.",
+        help="Threads for the dense energy fold (default: all cores), at most "
+        "one per 100,000 cells of its result. Never changes results.",
     )(f)
     f = click.option(
         "--cache-dir",

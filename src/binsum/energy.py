@@ -14,16 +14,22 @@ Python ints. Only multiplicity_map turns a tally into a dict.
 
 Three interchangeable tally strategies produce identical (sums, counts):
 
-  direct    enumerate every tuple (the oracle; cost len**h)
+  direct    enumerate every tuple (the oracle; cost len**h), then group
+            equal sums: int64 sums are counted in a dense array when they
+            fill their range (h * max + 1 cells at most 9/8 of len**h),
+            anything else is sorted
   mitm      enumerate both halves of the tuple, then convolve the two
             tallies (cost roughly len**ceil(h/2) plus the cross product
-            of distinct half sums)
+            of distinct half sums): int64 pairs are scattered into a dense
+            array when the output range is at most four cells per pair,
+            anything else is sorted
   convolve  a dense count array indexed by sum (wins when sums are
             dense). Large inputs take a float FFT whose proposed counts
             count only once an exact integer certificate accepts them;
-            the rest, and any proposal the certificate rejects, fold the
-            value list in one factor at a time with integer shifted adds
-            (cost (h-1) * len * max_sum).
+            the rest, and any proposal the certificate rejects, count the
+            j-fold sums for the largest j with len**j <= j * max + 1 and
+            fold in the other h - j factors with integer shifted adds
+            (cost len**j + (h-j) * len * h * max, split over threads).
 
 "auto" uses direct for h <= 2, then convolve when the dense array fits the
 budget, then mitm. Floats never decide a count.
@@ -31,6 +37,7 @@ budget, then mitm. Floats never decide a count.
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,14 +66,21 @@ DEFAULT_DENSE_BUDGET = 150_000_000
 _PYTHON_FALLBACK_BUDGET = 1_000_000
 
 # The convolve strategy's FFT kernel takes over from the fold at this many
-# shifted adds per cell, (h - 1) * len(values): about where it beats a
-# two-thread fold at order 2 on a 2-core host (a one-thread fold loses from
-# about 500; at order 3 with millions of cells a two-thread fold holds on
-# to about 1000).
-_FFT_CROSSOVER = 600
-# The dense budget counts cells. At that many cells the serial fold holds
-# two int32 arrays, 8 B per cell; the FFT kernel may use as many bytes.
+# shifted adds per cell, (h - j) * len(values) with j = _counted_factors.
+# Measured on a 2-core host at order 2: a one-thread fold loses from about
+# 400, a two-thread fold from about 500 to 600. At order 3, with millions
+# of cells, a one-thread fold still wins at 400 and a two-thread one at 500.
+_FFT_CROSSOVER = 500
+# The dense budget counts cells. At that many cells the fold holds two
+# int32 arrays, 8 B per cell, however many threads share it; the FFT
+# kernel may use as many bytes.
 _BUDGET_CELL_BYTES = 8
+# A fold thread takes a slice of at least this many output cells: below
+# about 2 * 10**5 cells two threads were slower than one on a 2-core host,
+# since each value's shifted add is too short to hide the lock handoff.
+_WORKER_CELLS = 100_000
+# Bytes a call may hold besides its arrays: small objects, the limb table,
+# one chunk of counted sums.
 _CALL_BYTES = 64 * 1024
 # The FFT certificate works modulo the Mersenne prime 2**61 - 1, on rows
 # of 1024 counts and 21-bit limbs of the powers of x.
@@ -141,6 +155,12 @@ def _tally_direct(values: list[int], h: int, budget: int, dtype: type) -> Tally:
     sums = arr
     for _ in range(h - 1):
         sums = np.add.outer(sums, arr).ravel()
+    # np.unique holds a sorted int64 copy of the sums and a bool mask, 9 B
+    # per tuple; a dense count array of at most that many bytes is cheaper.
+    if dtype is np.int64 and 8 * (h * values[-1] + 1) <= 9 * tuples:
+        dense = np.bincount(sums)
+        keys = np.flatnonzero(dense)
+        return keys, dense[keys]
     keys, counts = np.unique(sums, return_counts=True)
     return keys, counts.astype(dtype, copy=False)
 
@@ -158,6 +178,19 @@ def _combine(left: Tally, right: Tally, budget: int) -> Tally:
     # The cross weights sum to len(values)**h, so int64 cells cannot wrap
     # exactly when that tuple total is below 2**63.
     assert lc.dtype == object or int(lc.sum()) * int(rc.sum()) < 2**63
+    # The sort below holds the pair sums, their weights, the sort order and
+    # a sorted copy, 32 B per pair; a dense int64 array of at most four
+    # cells per pair holds no more and is cheaper. Each side's keys are
+    # distinct, so every fancy-index add touches distinct cells.
+    span = int(lk[-1]) + int(rk[-1]) + 1
+    if lc.dtype != object and span <= 4 * pairs:
+        if len(lk) > len(rk):
+            (lk, lc), (rk, rc) = right, left
+        dense = np.zeros(span, dtype=np.int64)
+        for key, weight in zip(lk.tolist(), lc.tolist()):
+            dense[key + rk] += weight * rc
+        keys = np.flatnonzero(dense)
+        return keys, dense[keys]
     sums = np.add.outer(lk, rk).ravel()
     weights = np.multiply.outer(lc, rc).ravel()
     order = np.argsort(sums)
@@ -285,38 +318,67 @@ def _fft_counts(values: list[int], h: int) -> np.ndarray | None:
     return counts if _certify(counts, values, h, x) else None
 
 
+def _counted_factors(values: list[int], h: int) -> int:
+    """How many factors _fold_counts counts instead of folding: the largest
+    j <= h whose len(values)**j sums fit the j-fold array's cells, where
+    counting them costs about one pass over that array."""
+    j = 1
+    while j < h and len(values) ** (j + 1) <= (j + 1) * values[-1] + 1:
+        j += 1
+    return j
+
+
 def _fold_counts(values: list[int], h: int, threads: int) -> np.ndarray:
     """Dense tally by repeated convolution, in exact integers.
 
-    Cell j after folding i factors counts the ordered i-tuples summing to j,
-    so each fold is len(values) shifted adds. Counts are bounded by
-    len(values)**(h-1) per cell, which picks the dtype.
+    Cell s after folding i factors counts the ordered i-tuples summing to s.
+    The first _counted_factors(values, h) = j factors are counted at once:
+    the j-fold sums are scattered into the count array by np.add.at, in
+    chunks of _CALL_BYTES (or one row of len(values) sums, if larger). Each
+    further factor is len(values) shifted adds.
+    Counts are bounded by len(values)**(h-1) per cell, which picks the
+    dtype; at int32 no step holds more than _BUDGET_CELL_BYTES per cell of
+    the result, plus the (j-1)-fold sums and one chunk.
+
+    With threads, each fold step splits its output range into disjoint
+    slices, one per worker, and each worker adds the part of every shifted
+    copy that lands in its slice; no worker holds a copy of the array. A
+    slice has at least _WORKER_CELLS cells of the result, so small folds
+    stay serial and start no pool.
     """
     dtype = np.int32 if len(values) ** (h - 1) < 2**31 else np.int64
-    vals = np.asarray(values, dtype=np.int64)
-    acc = np.zeros(values[-1] + 1, dtype=dtype)
-    acc[vals] = 1
-    for step in range(2, h + 1):
-        nxt = np.zeros(step * values[-1] + 1, dtype=dtype)
+    top = values[-1]
+    start = _counted_factors(values, h)
+    arr = np.asarray(values, dtype=np.int64)
+    heads = np.zeros(1, dtype=np.int64)
+    for _ in range(start - 1):
+        heads = np.add.outer(heads, arr).ravel()
+    acc = np.zeros(start * top + 1, dtype=dtype)
+    rows = max(1, _CALL_BYTES // (8 * len(values)))
+    for r in range(0, len(heads), rows):
+        np.add.at(acc, np.add.outer(heads[r : r + rows], arr).ravel(), dtype(1))
+    del heads
+
+    def fold(nxt: np.ndarray, lo: int, hi: int) -> None:
         span = acc.size
+        for v in values:
+            a, b = max(lo, v), min(hi, v + span)
+            if a < b:
+                nxt[a:b] += acc[a - v : b - v]
 
-        def fold(chunk: np.ndarray, out: np.ndarray) -> np.ndarray:
-            for v in chunk:
-                out[v : v + span] += acc
-            return out
+    workers = max(1, min(threads, (h * top + 1) // _WORKER_CELLS)) if start < h else 1
+    pool = nullcontext()
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
 
-        if threads > 1 and len(values) >= 2 * threads:
-            from concurrent.futures import ThreadPoolExecutor
-
-            slices = np.array_split(vals, threads)
-            parts = [np.zeros_like(nxt) for _ in slices]
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(lambda sv: fold(sv[0], sv[1]), zip(slices, parts)))
-            for part in parts:
-                nxt += part
-        else:
-            fold(vals, nxt)
-        acc = nxt
+        pool = ThreadPoolExecutor(max_workers=workers)
+    with pool as executor:
+        run = executor.map if executor else map
+        for step in range(start + 1, h + 1):
+            nxt = np.zeros(step * top + 1, dtype=dtype)
+            cuts = [nxt.size * w // workers for w in range(workers + 1)]
+            list(run(fold, [nxt] * workers, cuts[:-1], cuts[1:]))
+            acc = nxt
     return acc
 
 
@@ -325,10 +387,10 @@ def _dense_counts(
 ) -> np.ndarray:
     """Dense array of tuple counts indexed by sum, exact.
 
-    Two kernels: the certified FFT once (h-1) * len(values) shifted adds
-    reach _FFT_CROSSOVER, every count fits int32 and its byte estimate
-    fits the budget; otherwise, or when its certificate fails, the
-    integer fold.
+    Two kernels: the certified FFT once the fold's shifted adds per cell,
+    (h - _counted_factors(values, h)) * len(values), reach _FFT_CROSSOVER,
+    every count fits int32 and its byte estimate fits the budget;
+    otherwise, or when its certificate fails, the integer fold.
     """
     if not _fits_int64(values, h):
         raise ResourceBudgetError(
@@ -344,7 +406,7 @@ def _dense_counts(
             budget=dense_budget,
         )
     if (
-        (h - 1) * len(values) >= _FFT_CROSSOVER
+        (h - _counted_factors(values, h)) * len(values) >= _FFT_CROSSOVER
         and len(values) ** (h - 1) < 2**31
         and _fft_bytes(values, h) <= _BUDGET_CELL_BYTES * dense_budget
     ):

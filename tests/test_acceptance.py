@@ -20,13 +20,20 @@ from binsum import (
     fit_energy_exponent,
     gap,
     min_rep_single,
-    multiplicity_map,
     records_to_csv,
     records_to_json,
     restricted_distinct_sums,
     run_experiment,
     sumset_coverage_threshold,
     survey_min_rep,
+)
+from binsum.energy import (
+    _BUDGET_CELL_BYTES,
+    DEFAULT_DENSE_BUDGET,
+    _fft_bytes,
+    _fft_counts,
+    _fold_counts,
+    _tally,
 )
 
 
@@ -120,26 +127,55 @@ def _half_sum_pair_count(values, h):
     return int(np.sum(runs.astype(np.int64) ** 2)), sums
 
 
+def _square_sum(counts):
+    """sum(c * c) over a count array, exact: an int64 dot product where no
+    partial sum can reach 2**63, Python ints otherwise."""
+    top = int(counts.max())
+    if len(counts) * top * top < 2**63:
+        return int(counts @ counts)
+    return sum(c * c for c in counts.tolist())
+
+
 def test_criterion_06_moment_identities():
-    with criterion("06 first/second moment identities and dual-path equality"):
-        checked = 0
+    with criterion("06 first/second moment identities and all-strategy equality"):
+        checked = folded = transformed = 0
         for k, h, m in _moment_instances():
             values = BinomialSequence(k).values_upto(binom(m, k))
             count = len(values)
             assert count == m - k + 1
-            direct = multiplicity_map(k, h, m, strategy="direct")
-            mitm = multiplicity_map(k, h, m, strategy="mitm")
-            assert direct == mitm, (k, h, m)
-            assert sum(direct.values()) == count**h, (k, h, m)
-            energy = sum(r * r for r in direct.values())
-            pair_count, sums = _half_sum_pair_count(values, h)
+            sums, counts = _tally(values, h, "direct", 10**7, 0)
+            tallies = {"mitm": _tally(values, h, "mitm", 10**7, 0)}
+            dense = {}
+            if h * values[-1] + 1 <= DEFAULT_DENSE_BUDGET:
+                tallies["convolve"] = _tally(
+                    values, h, "convolve", 0, DEFAULT_DENSE_BUDGET, threads=2
+                )
+                dense["fold"] = _fold_counts(values, h, 2)
+                folded += 1
+                if (
+                    h >= 2
+                    and count ** (h - 1) < 2**31
+                    and _fft_bytes(values, h) <= _BUDGET_CELL_BYTES * DEFAULT_DENSE_BUDGET
+                ):
+                    dense["fft"] = _fft_counts(values, h)
+                    transformed += 1
+            for name, (other_sums, other_counts) in tallies.items():
+                assert np.array_equal(other_sums, sums), (name, k, h, m)
+                assert np.array_equal(other_counts, counts), (name, k, h, m)
+            for name, cells in dense.items():
+                assert cells is not None and len(cells) == h * values[-1] + 1, (name, k, h, m)
+                assert np.array_equal(np.flatnonzero(cells), sums), (name, k, h, m)
+                assert np.array_equal(cells[sums], counts), (name, k, h, m)
+            assert int(counts.sum()) == count**h, (k, h, m)
+            energy = _square_sum(counts)
+            pair_count, all_sums = _half_sum_pair_count(values, h)
             assert energy == pair_count, (k, h, m)
-            if sums.size <= 2000:
+            if all_sums.size <= 2000:
                 # literal 2h-tuple enumeration, quadratic but airtight
-                literal = int(np.sum(sums[:, None] == sums[None, :]))
+                literal = int(np.sum(all_sums[:, None] == all_sums[None, :]))
                 assert energy == literal, (k, h, m)
             checked += 1
-        assert checked >= 40
+        assert checked >= 80 and folded >= 75 and transformed >= 55, (checked, folded, transformed)
 
 
 def test_criterion_07_inequality_suite_randomized():

@@ -1,7 +1,9 @@
 """Multiplicity tallies, energy reports, restricted sums, exponent fits."""
 import itertools
 import random
+import sys
 import tracemalloc
+from concurrent import futures
 from fractions import Fraction
 
 import numpy as np
@@ -388,13 +390,16 @@ class TestFftKernel:
             assert np.array_equal(dense, _fold_counts(values, h, 1))
             return bool(proposed)
 
-        length = -(-energy._FFT_CROSSOVER // 2)
+        # triangular values: the fold counts two of the three factors, so
+        # it does len(values) shifted adds per cell
+        length = energy._FFT_CROSSOVER
         at = sequence_values(2, length + 1, "binomial")
-        assert len(at) == length
+        assert len(at) == length and energy._counted_factors(at, 3) == 2
         assert takes_fft(at, 3)
         assert not takes_fft(at[:-1], 3)  # below the crossover
         # order 1, h = 4: 1291**3 >= 2**31, so a count could pass int32
         wide = list(range(1, 1292))
+        assert energy._counted_factors(wide, 4) == 1
         assert 3 * len(wide) >= energy._FFT_CROSSOVER and len(wide) ** 3 >= 2**31
         assert not takes_fft(wide, 4)
         # the byte estimate must fit 8 B per budget cell
@@ -404,7 +409,7 @@ class TestFftKernel:
         assert not takes_fft(at, 3, dense_budget=_fft_bytes(at, 3) // 8 - 1)
 
     def test_certificate_rejects_a_perturbation_that_keeps_the_total(self, monkeypatch):
-        values = sequence_values(2, 320, "binomial")
+        values = sequence_values(2, energy._FFT_CROSSOVER + 20, "binomial")
         exact = _fold_counts(values, 3, 1).astype(np.int64)
         i, j = np.flatnonzero(exact)[[100, 2000]]
         bad = exact.copy()
@@ -492,10 +497,10 @@ class TestFftKernel:
 
     def test_exports_identical_across_threads_and_kernels(self, monkeypatch):
         requests = (
-            ("energy", {"k": 2, "h": 3, "index_bound": 340, "top": 12}),
-            ("energy", {"k": 2, "h": 4, "index_bound": 210, "sequence": "power"}),
-            ("restricted-sums", {"k": 2, "h": 3, "x": 10**4 * 2**5}),
-            ("exponent-fit", {"k": 2, "h": 3, "bounds": [10**4, 10**5, 2 * 10**5]}),
+            ("energy", {"k": 2, "h": 3, "index_bound": 540, "top": 12}),
+            ("energy", {"k": 2, "h": 4, "index_bound": 260, "sequence": "power"}),
+            ("restricted-sums", {"k": 2, "h": 3, "x": 10**4 * 2**7}),
+            ("exponent-fit", {"k": 2, "h": 3, "bounds": [10**4, 2 * 10**5, 4 * 10**5]}),
         )
 
         def exports():
@@ -516,3 +521,194 @@ class TestFftKernel:
         assert with_fft[: len(requests)] == with_fft[len(requests) :]
         monkeypatch.setattr(energy, "_FFT_CROSSOVER", 10**9)
         assert exports() == with_fft
+
+
+class TestCountingTallies:
+    """direct and _combine count int64 sums in a dense array when it holds
+    no more bytes than their sort would; object arrays always sort."""
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda *a, **kw: calls.append(name) or real(*a, **kw))
+        return calls
+
+    def test_direct_at_the_threshold(self, monkeypatch):
+        # 16 values at h = 1: 8 * span <= 9 * 16 counts spans up to 18
+        counted = self.spy(monkeypatch, "bincount")
+        for top, dense in ((16, True), (17, True), (18, False)):
+            values = list(range(1, 16)) + [top]
+            span = top + 1
+            assert (8 * span <= 9 * len(values)) == dense
+            for dtype in (np.int64, object):
+                counted.clear()
+                sums, counts = energy._tally_direct(values, 1, 100, dtype)
+                assert counted == (["bincount"] if dense and dtype is np.int64 else [])
+                assert sums.dtype == counts.dtype == dtype
+                assert sums.tolist() == values and counts.tolist() == [1] * 16
+        # h = 2 reaches odd spans only: 17 counts, 19 sorts
+        for top, dense in ((8, True), (9, False)):
+            values = [1, 2, 3, top]
+            counted.clear()
+            sums, counts = energy._tally_direct(values, 2, 100, np.int64)
+            assert counted == (["bincount"] if dense else [])
+            assert counts.dtype == np.int64
+            assert dict(zip(sums.tolist(), counts.tolist())) == oracle_tally(values, 2)
+
+    def test_combine_at_the_threshold(self, monkeypatch):
+        # 3 x 3 pairs: spans up to 4 * 9 = 36 count, the rest sort
+        sorted_ = self.spy(monkeypatch, "argsort")
+        left = ([1, 2, 5], [2, 1, 3])
+        for top, dense in ((29, True), (30, True), (31, False)):
+            right = ([1, 3, top], [1, 4, 2])
+            assert (left[0][-1] + right[0][-1] + 1 <= 36) == dense
+            want = {}
+            for a, x in zip(*left):
+                for b, y in zip(*right):
+                    want[a + b] = want.get(a + b, 0) + x * y
+            for dtype in (np.int64, object):
+                for first, second in ((left, right), (right, left)):
+                    sorted_.clear()
+                    sums, counts = _combine(
+                        tuple(np.array(side, dtype=dtype) for side in first),
+                        tuple(np.array(side, dtype=dtype) for side in second),
+                        budget=9,
+                    )
+                    assert sorted_ == ([] if dense and dtype is np.int64 else ["argsort"])
+                    assert sums.dtype == counts.dtype == dtype
+                    assert sums.tolist() == sorted(want)
+                    assert counts.tolist() == [want[s] for s in sorted(want)]
+
+
+class RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers and every
+    slice handed out, and runs the slices in the calling thread."""
+
+    def __init__(self, log, max_workers):
+        self.log = log
+        log.append({"max_workers": max_workers, "slices": []})
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, outs, los, his):
+        outs, los, his = list(outs), list(los), list(his)
+        self.log[-1]["slices"].append((outs[0].size, los, his))
+        return map(fn, outs, los, his)
+
+
+class TestFoldThreads:
+    """The fold splits each step's output range into disjoint slices, one
+    per worker; every slice adds the clipped part of every shifted copy."""
+
+    def record(self, monkeypatch, min_cells):
+        log = []
+        monkeypatch.setattr(
+            futures, "ThreadPoolExecutor", lambda max_workers: RecordingPool(log, max_workers)
+        )
+        monkeypatch.setattr(energy, "_WORKER_CELLS", min_cells)
+        return log
+
+    def test_slices_match_direct(self, monkeypatch):
+        log = self.record(monkeypatch, 1)
+        rng = random.Random(77)
+        inside = outside = uneven = few = 0
+        for values in ([1, 2], [2, 3, 7], [1, 3, 6, 10, 15], [1, 4, 10, 20],
+                       [rng.randrange(1, 40) for _ in range(7)]):
+            values = sorted(set(values))
+            for h in (2, 3, 4):
+                sums, counts = _tally(values, h, "direct", 10**6, 0)
+                for threads in (1, 2, 3):
+                    log.clear()
+                    dense = _fold_counts(values, h, threads)
+                    assert dense.size == h * values[-1] + 1
+                    assert np.array_equal(np.flatnonzero(dense), sums), (values, h, threads)
+                    assert np.array_equal(dense[sums], counts), (values, h, threads)
+                    if threads == 1:
+                        assert log == []
+                        continue
+                    few += len(values) < threads and bool(log)
+                    for entry in log:
+                        assert entry["max_workers"] == threads
+                        for size, los, his in entry["slices"]:
+                            assert los[0] == 0 and his[-1] == size
+                            assert los[1:] == his[:-1] and all(a < b for a, b in zip(los, his))
+                            uneven += size % threads != 0
+                            span = size - values[-1]  # the previous step's array
+                            for cut in los[1:]:
+                                inside += sum(v < cut < v + span for v in values)
+                                outside += sum(not v < cut < v + span for v in values)
+        assert min(inside, outside, uneven, few) > 0
+
+    def test_real_threads_under_a_short_switch_interval(self, monkeypatch):
+        # three workers on shared arrays, switching often: a lost or
+        # doubled update at a slice boundary would change a count
+        monkeypatch.setattr(energy, "_WORKER_CELLS", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k, h, m in ((2, 3, 40), (3, 3, 30), (1, 4, 25)):
+                values = sequence_values(k, m, "binomial")
+                sums, counts = _tally(values, h, "direct", 10**6, 0)
+                dense = _fold_counts(values, h, 3)
+                assert np.array_equal(np.flatnonzero(dense), sums), (k, h, m)
+                assert np.array_equal(dense[sums], counts), (k, h, m)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_workers_capped_by_slices_and_threads(self, monkeypatch):
+        log = self.record(monkeypatch, 1000)
+        values = sequence_values(2, 20, "binomial")  # top 190: 3-fold cells 571
+        _fold_counts(values, 3, 64)
+        assert log == []  # fewer than 2 * 1000 cells: serial, no pool
+        values = sequence_values(2, 40, "binomial")  # top 780: 3-fold cells 2341
+        want = _fold_counts(values, 3, 1)
+        assert log == []
+        for threads, workers in ((64, 2), (2, 2), (3, 2)):
+            log.clear()
+            assert np.array_equal(_fold_counts(values, 3, threads), want)
+            assert [entry["max_workers"] for entry in log] == [workers]
+        values = sequence_values(1, 30, "binomial")  # 4-fold cells 121
+        monkeypatch.setattr(energy, "_WORKER_CELLS", 40)
+        log.clear()
+        _fold_counts(values, 4, 64)
+        assert [entry["max_workers"] for entry in log] == [3]
+
+    def test_counted_start_skips_the_pool(self, monkeypatch):
+        # every 2-fold sum fits the 2-fold array: nothing is left to fold
+        log = self.record(monkeypatch, 1)
+        values = sequence_values(4, 30, "binomial")
+        assert energy._counted_factors(values, 2) == 2
+        sums, counts = _tally(values, 2, "direct", 10**6, 0)
+        dense = _fold_counts(values, 2, 3)
+        assert log == []
+        assert np.array_equal(np.flatnonzero(dense), sums)
+        assert np.array_equal(dense[sums], counts)
+
+    def test_counted_factors(self):
+        # len**j <= j * top + 1 decides how many factors are counted
+        assert energy._counted_factors([1, 2, 3], 4) == 1  # 9 > 2 * 3 + 1
+        assert energy._counted_factors([1, 2, 4], 4) == 2  # 9 <= 9, 27 > 13
+        assert energy._counted_factors([1, 2, 9], 4) == 3  # 27 <= 28, 81 > 37
+        assert energy._counted_factors([1, 2, 9], 2) == 2
+
+    def test_peak_bytes_stay_in_the_cell_budget(self):
+        # two workers, int32 counts: at most _BUDGET_CELL_BYTES per cell of
+        # the result, plus one chunk of counted sums
+        cases = ((2, 3, 500), (3, 3, 100))
+        for k, h, m in cases:
+            values = sequence_values(k, m, "binomial")
+            cells = h * values[-1] + 1
+            assert cells >= 2 * energy._WORKER_CELLS and len(values) ** (h - 1) < 2**31
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                _fold_counts(values, h, 2)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= energy._BUDGET_CELL_BYTES * cells + energy._CALL_BYTES, (k, h, m)
