@@ -16,7 +16,6 @@ from binsum import ResultCache, dump_records_csv, dump_records_json, run_experim
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=10**6)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--chunk-size", type=int, default=None)
     parser.add_argument("--cache-dir", type=Path, default=None)
     parser.add_argument("--out-dir", type=Path, default=Path("results"))
@@ -34,7 +33,6 @@ def main(argv: list[str] | None = None) -> int:
         record, hit = run_experiment(
             "survey-H",
             params,
-            threads=args.threads,
             chunk_size=args.chunk_size,
             cache=cache,
         )

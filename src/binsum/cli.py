@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -18,6 +17,8 @@ from .cache import ResultCache
 from .errors import NoRepresentationError, ResourceBudgetError
 from .experiments import run_experiment, summary_line
 from .records import (
+    CSV_FIELDS,
+    EXPERIMENT_KINDS,
     SurveyRecord,
     _atomic_write_text,
     dump_records_csv,
@@ -86,10 +87,6 @@ def _resolve_threads(threads: int | None) -> int:
     return threads
 
 
-def _resolve_cache(cache_dir: Path | None) -> ResultCache | None:
-    return None if cache_dir is None else ResultCache(cache_dir)
-
-
 def _export(records: list[SurveyRecord], fmt: str, out: Path | None) -> None:
     if out is None:
         return
@@ -100,18 +97,24 @@ def _export(records: list[SurveyRecord], fmt: str, out: Path | None) -> None:
     click.echo(f"wrote {out}")
 
 
-def _run_and_report(kind, params, fmt, out, cache_dir, threads,
-                    chunk_size=None, memory_budget=None):
-    record, hit = run_experiment(
-        kind,
-        params,
-        threads=_resolve_threads(threads),
-        chunk_size=chunk_size,
-        memory_budget=memory_budget,
-        cache=_resolve_cache(cache_dir),
-    )
+def _run_and_report(kind: str, options: dict) -> SurveyRecord:
+    """Run one kind with its parameters taken from the click options of the
+    same names, echo its summary line and export it to --out if given."""
+    params = {name: options.get(name) for name in CSV_FIELDS[kind][0]}
+    cache_dir = options["cache_dir"]
+    try:
+        record, hit = run_experiment(
+            kind,
+            params,
+            threads=_resolve_threads(options["threads"]),
+            chunk_size=options.get("chunk_size"),
+            memory_budget=options.get("memory_budget"),
+            cache=None if cache_dir is None else ResultCache(cache_dir),
+        )
+    except (ValueError, TypeError) as exc:
+        raise click.UsageError(str(exc)) from exc
     click.echo(summary_line(record) + (" [cached]" if hit else ""))
-    _export([record], fmt, out)
+    _export([record], options["fmt"], options["out"])
     return record
 
 
@@ -218,20 +221,13 @@ def decompose(k, target, algorithm, h_max, mode, fmt, out, cache_dir, threads):
 @click.option("--h-max", type=int, default=8, show_default=True)
 @_mode_option
 @_output_options
-def min_rep(k, n, h_max, mode, fmt, out, cache_dir, threads):
+def min_rep(**options):
     """Fewest summands for one target, or report that h-max is exceeded."""
-    _run_and_report(
-        "min-rep",
-        {"k": k, "n": n, "h_max": h_max, "mode": mode},
-        fmt, out, cache_dir, threads,
-    )
+    _run_and_report("min-rep", options)
 
 
 @cli.command()
-@click.option("--kind", type=click.Choice([
-    "min-rep", "survey-H", "energy", "restricted-sums",
-    "coverage-threshold", "exponent-fit", "asymptotic-ratio",
-]), required=True)
+@click.option("--kind", type=click.Choice(EXPERIMENT_KINDS), required=True)
 @click.option("--k", type=int, required=True)
 @click.option("--h", type=int, default=None)
 @click.option("--n", type=int, default=None)
@@ -243,10 +239,10 @@ def min_rep(k, n, h_max, mode, fmt, out, cache_dir, threads):
 @click.option("--chunk-size", type=int, default=None,
               help="Survey scan chunk size (results are identical regardless).")
 @click.option("--index-bound", type=int, default=None)
-@click.option("--x", "xs", type=int, multiple=True,
+@click.option("--x", "bounds", type=int, multiple=True,
               help="Value bound; repeat for exponent fits.")
 @click.option("--convention", type=click.Choice(["value", "index"]), default=None)
-@click.option("--c", "fraction", type=str, default=None,
+@click.option("--c", type=str, default=None,
               help="Per-term budget fraction, e.g. 1/2.")
 @click.option("--sequence", type=click.Choice(["binomial", "power"]), default=None)
 @click.option("--top", type=int, default=None, help="Report the top-T multiplicities.")
@@ -255,40 +251,10 @@ def min_rep(k, n, h_max, mode, fmt, out, cache_dir, threads):
               help="Abort (exit 3) if the working set would exceed this many bytes.")
 @_mode_option
 @_output_options
-def survey(kind, k, h, n, h_max, n_min, n_max, cap, max_witnesses, chunk_size,
-           index_bound, xs, convention, fraction, sequence, top, r_max,
-           memory_budget, mode, fmt, out, cache_dir, threads):
+def survey(kind, **options):
     """Run any experiment kind and export its record."""
-    params: dict = {"k": k}
-    if kind == "min-rep":
-        params.update({"n": n, "h_max": h_max, "mode": mode})
-    elif kind == "survey-H":
-        params.update({
-            "n_min": n_min, "n_max": n_max, "mode": mode, "cap": cap,
-            "max_witnesses": max_witnesses,
-        })
-    elif kind == "energy":
-        params.update({
-            "h": h, "index_bound": index_bound,
-            "x": xs[0] if xs else None, "convention": convention,
-            "sequence": sequence, "top": top,
-        })
-    elif kind == "restricted-sums":
-        params.update({
-            "h": h, "x": xs[0] if xs else None,
-            "c": Fraction(fraction) if fraction else None, "sequence": sequence,
-        })
-    elif kind == "coverage-threshold":
-        params.update({"r_max": r_max})
-    elif kind == "exponent-fit":
-        params.update({"h": h, "bounds": list(xs), "sequence": sequence})
-    else:  # asymptotic-ratio
-        params.update({"x": xs[0] if xs else None})
-    try:
-        _run_and_report(kind, params, fmt, out, cache_dir, threads,
-                        chunk_size, memory_budget)
-    except (ValueError, TypeError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    options["x"] = options["bounds"][0] if options["bounds"] else None
+    _run_and_report(kind, options)
 
 
 @cli.command()
@@ -297,34 +263,20 @@ def survey(kind, k, h, n, h_max, n_min, n_max, cap, max_witnesses, chunk_size,
 @click.option("--index-bound", type=int, default=None)
 @click.option("--x", type=int, default=None)
 @click.option("--convention", type=click.Choice(["value", "index"]), default=None)
-@click.option("--c", "fraction", type=str, default=None,
+@click.option("--c", type=str, default=None,
               help="Run the restricted (per-term capped) variant; needs --x.")
 @click.option("--sequence", type=click.Choice(["binomial", "power"]), default="binomial",
               show_default=True)
 @click.option("--top", type=int, default=0, show_default=True)
-@_mode_option
 @_output_options
-def energy(k, h, index_bound, x, convention, fraction, sequence, top, mode,
-           fmt, out, cache_dir, threads):
+def energy(**options):
     """Multiplicity statistics for h-fold sums."""
-    try:
-        if fraction is not None:
-            if x is None:
-                raise click.UsageError("--c needs --x (the sum budget)")
-            _run_and_report(
-                "restricted-sums",
-                {"k": k, "h": h, "x": x, "c": Fraction(fraction), "sequence": sequence},
-                fmt, out, cache_dir, threads,
-            )
-        else:
-            _run_and_report(
-                "energy",
-                {"k": k, "h": h, "index_bound": index_bound, "x": x,
-                 "convention": convention, "sequence": sequence, "top": top},
-                fmt, out, cache_dir, threads,
-            )
-    except (ValueError, TypeError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    if options["c"] is None:
+        _run_and_report("energy", options)
+    elif options["x"] is None:
+        raise click.UsageError("--c needs --x (the sum budget)")
+    else:
+        _run_and_report("restricted-sums", options)
 
 
 @cli.command()
@@ -334,19 +286,13 @@ def energy(k, h, index_bound, x, convention, fraction, sequence, top, mode,
               help="Abort (exit 3) if the working set would exceed this many bytes.")
 @_mode_option
 @_output_options
-def coverage(k, r_max, memory_budget, mode, fmt, out, cache_dir, threads):
+def coverage(mode, **options):
     """Largest R <= r-max where [R/2, R] misses a two-triangular sum.
 
     Both admission modes are computed and recorded; --mode picks which one
     the summary highlights.
     """
-    try:
-        record = _run_and_report(
-            "coverage-threshold", {"k": k, "r_max": r_max},
-            fmt, out, cache_dir, threads, memory_budget=memory_budget,
-        )
-    except (ValueError, TypeError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    record = _run_and_report("coverage-threshold", options)
     key = "repeats_threshold" if mode == "repeats" else "distinct_threshold"
     click.echo(f"{mode} threshold: {record.results[key]}")
 
@@ -354,42 +300,26 @@ def coverage(k, r_max, memory_budget, mode, fmt, out, cache_dir, threads):
 @cli.command()
 @click.option("--k", type=int, required=True)
 @click.option("--h", type=int, required=True)
-@click.option("--x", "xs", type=int, multiple=True, required=True,
+@click.option("--x", "bounds", type=int, multiple=True, required=True,
               help="Value bounds; give at least three.")
 @click.option("--sequence", type=click.Choice(["binomial", "power"]), default="binomial",
               show_default=True)
-@_mode_option
 @_output_options
-def fit(k, h, xs, sequence, mode, fmt, out, cache_dir, threads):
+def fit(**options):
     """Fit the growth exponent of the h-fold energy across value bounds."""
-    try:
-        _run_and_report(
-            "exponent-fit",
-            {"k": k, "h": h, "bounds": list(xs), "sequence": sequence},
-            fmt, out, cache_dir, threads,
-        )
-    except (ValueError, TypeError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    _run_and_report("exponent-fit", options)
 
 
 @cli.command()
 @click.option("--k", type=int, required=True)
-@click.option("--x", "xs", type=int, multiple=True, required=True,
+@click.option("--x", "bounds", type=int, multiple=True, required=True,
               help="Value bound; may repeat for a multi-row table.")
-@_mode_option
 @_output_options
-def table(k, xs, mode, fmt, out, cache_dir, threads):
+def table(bounds, **options):
     """Counts of sequence values up to X and their ratio to leading order."""
-    records = []
-    try:
-        for x in xs:
-            records.append(
-                _run_and_report("asymptotic-ratio", {"k": k, "x": x},
-                                fmt, None, cache_dir, threads)
-            )
-    except (ValueError, TypeError) as exc:
-        raise click.UsageError(str(exc)) from exc
-    _export(records, fmt, out)
+    records = [_run_and_report("asymptotic-ratio", dict(options, x=x, out=None))
+               for x in bounds]
+    _export(records, options["fmt"], options["out"])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -398,10 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
-        return 1
-    except click.ClickException as exc:
+    except click.ClickException as exc:  # usage errors included
         exc.show()
         return 1
     except click.Abort:

@@ -1,23 +1,27 @@
 """Experiment runners shared by the CLI and the scripts.
 
-Each experiment kind has a normalizer (fills defaults, validates, and fixes
-the parameter key set so fingerprints are stable) and a runner producing a
-results dict with every schema field present, None where not applicable.
-Thread count and chunk size are execution knobs, not experiment parameters:
-they never enter the fingerprint because they never change the results.
+Each experiment kind is declared in two tables: ``records.CSV_FIELDS`` names
+its parameters and results, and ``KINDS`` holds, in the same order, its
+normalizer (rejects parameters outside the schema, fills defaults only for
+absent or None ones, validates, and fixes the key set so fingerprints are
+stable), its runner (a results dict with every schema field, None where not
+applicable) and its console summary. The CLI reads a kind's parameters from
+the options of the same names. Thread count, chunk size and memory budget
+are execution knobs, not experiment parameters: they never enter the
+fingerprint because they never change the results.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from . import energy as energy_mod
 from . import represent
 from .binom import asymptotic_ratio, count_upto, floor_index
 from .cache import ResultCache
-from .records import EXPERIMENT_KINDS, SurveyRecord, fingerprint
+from .records import CSV_FIELDS, EXPERIMENT_KINDS, SurveyRecord, fingerprint
 from .represent import SearchMode
 
 __all__ = ["run_experiment", "summary_line", "EXPERIMENT_KINDS"]
@@ -43,6 +47,12 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _get(params: dict[str, Any], name: str, default: Any) -> Any:
+    """params[name], or default where it is absent or None (not where it is 0)."""
+    value = params.get(name)
+    return default if value is None else value
+
+
 def _as_mode(value: Any) -> str:
     return SearchMode.coerce(value).value
 
@@ -51,8 +61,8 @@ def _normalize_min_rep(params: dict[str, Any]) -> dict[str, Any]:
     out = {
         "k": int(params["k"]),
         "n": int(params["n"]),
-        "h_max": int(params.get("h_max") or 8),
-        "mode": _as_mode(params.get("mode") or "repeats"),
+        "h_max": int(_get(params, "h_max", 8)),
+        "mode": _as_mode(_get(params, "mode", "repeats")),
     }
     _require(out["k"] >= 1, "k must be >= 1")
     _require(out["n"] >= 1, "n must be >= 1")
@@ -72,18 +82,25 @@ def _run_min_rep(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
     }
 
 
+def _summarize_min_rep(p: dict, r: dict) -> str:
+    head = f"min-rep(n={p['n']}, k={p['k']}, {p['mode']}): "
+    if r["exceeds_h_max"]:
+        return head + f"exceeds h_max={p['h_max']}"
+    return head + f"{r['terms']} terms, values {r['witness_values']}"
+
+
 def _normalize_survey(params: dict[str, Any]) -> dict[str, Any]:
-    mode = _as_mode(params.get("mode") or "repeats")
+    mode = _as_mode(_get(params, "mode", "repeats"))
     cap = params.get("cap")
     if cap is None:
         cap = represent.CAP_MAX if mode == "repeats" else 8
     out = {
         "k": int(params["k"]),
-        "n_min": int(params.get("n_min") or 1),
+        "n_min": int(_get(params, "n_min", 1)),
         "n_max": int(params["n_max"]),
         "mode": mode,
         "cap": int(cap),
-        "max_witnesses": int(params.get("max_witnesses") or 10),
+        "max_witnesses": int(_get(params, "max_witnesses", 10)),
     }
     _require(out["k"] >= 1, "k must be >= 1")
     _require(1 <= out["n_min"] <= out["n_max"], "need 1 <= n_min <= n_max")
@@ -111,6 +128,14 @@ def _run_survey(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
     }
 
 
+def _summarize_survey(p: dict, r: dict) -> str:
+    return (
+        f"survey-H(k={p['k']}, [{p['n_min']}, {p['n_max']}], {p['mode']}): "
+        f"max terms = {r['max_terms']} "
+        f"({len(r['witnesses'])} witnesses, {r['exception_count']} exceptions)"
+    )
+
+
 def _normalize_energy(params: dict[str, Any]) -> dict[str, Any]:
     index_bound = params.get("index_bound")
     x = params.get("x")
@@ -120,11 +145,11 @@ def _normalize_energy(params: dict[str, Any]) -> dict[str, Any]:
     )
     convention = params.get("convention")
     if x is not None:
-        convention = convention or "value"
+        convention = "value" if convention is None else convention
         _require(convention in _CONVENTIONS, f"convention must be in {_CONVENTIONS}")
     else:
         _require(convention is None, "convention only applies with x")
-    sequence = params.get("sequence") or "binomial"
+    sequence = _get(params, "sequence", "binomial")
     _require(sequence in _SEQUENCES, f"sequence must be one of {_SEQUENCES}")
     out = {
         "k": int(params["k"]),
@@ -133,7 +158,7 @@ def _normalize_energy(params: dict[str, Any]) -> dict[str, Any]:
         "x": None if x is None else int(x),
         "convention": convention,
         "sequence": sequence,
-        "top": int(params.get("top") or 0),
+        "top": int(_get(params, "top", 0)),
     }
     _require(out["k"] >= 1, "k must be >= 1")
     _require(out["h"] >= 1, "h must be >= 1")
@@ -172,14 +197,23 @@ def _run_energy(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
     }
 
 
+def _summarize_energy(p: dict, r: dict) -> str:
+    return (
+        f"energy(k={p['k']}, h={p['h']}, M={r['index_bound']}, {p['sequence']}): "
+        f"tuples={r['total_tuples']} energy={r['energy']} "
+        f"distinct={r['distinct_sums']} max_r={r['max_multiplicity']} "
+        f"cs_floor={r['cs_lower_bound']}"
+    )
+
+
 def _normalize_restricted(params: dict[str, Any]) -> dict[str, Any]:
-    sequence = params.get("sequence") or "binomial"
+    sequence = _get(params, "sequence", "binomial")
     _require(sequence in _SEQUENCES, f"sequence must be one of {_SEQUENCES}")
     out = {
         "k": int(params["k"]),
         "h": int(params["h"]),
         "x": int(params["x"]),
-        "c": Fraction(params.get("c") if params.get("c") is not None else Fraction(1, 2)),
+        "c": Fraction(_get(params, "c", Fraction(1, 2))),
         "sequence": sequence,
     }
     _require(out["k"] >= 1, "k must be >= 1")
@@ -213,8 +247,16 @@ def _run_restricted(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
     }
 
 
+def _summarize_restricted(p: dict, r: dict) -> str:
+    return (
+        f"restricted-sums(k={p['k']}, h={p['h']}, X={p['x']}, c={p['c']}): "
+        f"distinct={r['distinct_sums']} cs_floor={r['cs_lower_bound']} "
+        f"max_r={r['max_multiplicity']} trivial_ok={r['trivial_bound_ok']}"
+    )
+
+
 def _normalize_coverage(params: dict[str, Any]) -> dict[str, Any]:
-    out = {"k": int(params.get("k") or 2), "r_max": int(params["r_max"])}
+    out = {"k": int(_get(params, "k", 2)), "r_max": int(params["r_max"])}
     _require(out["k"] == 2, "coverage threshold is defined for k=2 only")
     _require(out["r_max"] >= 1, "r_max must be >= 1")
     return out
@@ -231,9 +273,16 @@ def _run_coverage(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
     }
 
 
+def _summarize_coverage(p: dict, r: dict) -> str:
+    return (
+        f"coverage(k=2, R<={p['r_max']}): repeats={r['repeats_threshold']} "
+        f"distinct={r['distinct_threshold']}"
+    )
+
+
 def _normalize_fit(params: dict[str, Any]) -> dict[str, Any]:
     bounds = [int(b) for b in params["bounds"]]
-    sequence = params.get("sequence") or "binomial"
+    sequence = _get(params, "sequence", "binomial")
     _require(sequence in _SEQUENCES, f"sequence must be one of {_SEQUENCES}")
     out = {
         "k": int(params["k"]),
@@ -269,6 +318,15 @@ def _run_fit(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
     }
 
 
+def _summarize_fit(p: dict, r: dict) -> str:
+    return (
+        f"exponent-fit(k={p['k']}, h={p['h']}, {len(p['bounds'])} bounds, "
+        f"{p['sequence']}): alpha_hat={r['alpha_hat']:.4f} "
+        f"(comparison {r['comparison_exponent']:.4f}, "
+        f"plausible={r['hypothesis_plausible']}) residual={r['residual']:.4g}"
+    )
+
+
 def _normalize_ratio(params: dict[str, Any]) -> dict[str, Any]:
     out = {"k": int(params["k"]), "x": int(params["x"])}
     _require(out["k"] >= 1, "k must be >= 1")
@@ -285,32 +343,39 @@ def _run_ratio(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
     }
 
 
-_NORMALIZERS = {
-    "min-rep": _normalize_min_rep,
-    "survey-H": _normalize_survey,
-    "energy": _normalize_energy,
-    "restricted-sums": _normalize_restricted,
-    "coverage-threshold": _normalize_coverage,
-    "exponent-fit": _normalize_fit,
-    "asymptotic-ratio": _normalize_ratio,
-}
+def _summarize_ratio(p: dict, r: dict) -> str:
+    return f"asymptotic-ratio(k={p['k']}, X={p['x']}): count={r['count']} ratio={r['ratio']:.6f}"
 
-_RUNNERS = {
-    "min-rep": _run_min_rep,
-    "survey-H": _run_survey,
-    "energy": _run_energy,
-    "restricted-sums": _run_restricted,
-    "coverage-threshold": _run_coverage,
-    "exponent-fit": _run_fit,
-    "asymptotic-ratio": _run_ratio,
+
+class Kind(NamedTuple):
+    """The three functions of one experiment kind; its schema is in CSV_FIELDS."""
+
+    normalize: Callable[[dict[str, Any]], dict[str, Any]]
+    run: Callable[[dict[str, Any], ExecutionKnobs], dict[str, Any]]
+    summarize: Callable[[dict[str, Any], dict[str, Any]], str]
+
+
+KINDS: dict[str, Kind] = {
+    "min-rep": Kind(_normalize_min_rep, _run_min_rep, _summarize_min_rep),
+    "survey-H": Kind(_normalize_survey, _run_survey, _summarize_survey),
+    "energy": Kind(_normalize_energy, _run_energy, _summarize_energy),
+    "restricted-sums": Kind(_normalize_restricted, _run_restricted, _summarize_restricted),
+    "coverage-threshold": Kind(_normalize_coverage, _run_coverage, _summarize_coverage),
+    "exponent-fit": Kind(_normalize_fit, _run_fit, _summarize_fit),
+    "asymptotic-ratio": Kind(_normalize_ratio, _run_ratio, _summarize_ratio),
 }
+assert tuple(KINDS) == EXPERIMENT_KINDS, "KINDS and CSV_FIELDS list different kinds"
 
 
 def normalize_parameters(kind: str, params: dict[str, Any]) -> dict[str, Any]:
-    if kind not in _NORMALIZERS:
+    if kind not in KINDS:
         raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {kind!r}")
+    names = CSV_FIELDS[kind][0]
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise ValueError(f"{kind} takes no parameter {unknown}; it takes {list(names)}")
     try:
-        return _NORMALIZERS[kind](params)
+        return KINDS[kind].normalize(params)
     except KeyError as exc:
         raise ValueError(f"{kind} requires parameter {exc.args[0]!r}") from None
 
@@ -337,7 +402,7 @@ def run_experiment(
             return hit, True
     knobs = ExecutionKnobs(threads, chunk_size, memory_budget)
     started = time.perf_counter()
-    results = _RUNNERS[kind](normalized, knobs)
+    results = KINDS[kind].run(normalized, knobs)
     record = SurveyRecord(
         kind=kind,
         parameters=normalized,
@@ -351,52 +416,4 @@ def run_experiment(
 
 def summary_line(record: SurveyRecord) -> str:
     """One human line per record for the console."""
-    p, r = record.parameters, record.results
-    kind = record.kind
-    if kind == "min-rep":
-        if r["exceeds_h_max"]:
-            return (
-                f"min-rep(n={p['n']}, k={p['k']}, {p['mode']}): "
-                f"exceeds h_max={p['h_max']}"
-            )
-        return (
-            f"min-rep(n={p['n']}, k={p['k']}, {p['mode']}): {r['terms']} terms, "
-            f"values {r['witness_values']}"
-        )
-    if kind == "survey-H":
-        return (
-            f"survey-H(k={p['k']}, [{p['n_min']}, {p['n_max']}], {p['mode']}): "
-            f"max terms = {r['max_terms']} "
-            f"({len(r['witnesses'])} witnesses, {r['exception_count']} exceptions)"
-        )
-    if kind == "energy":
-        return (
-            f"energy(k={p['k']}, h={p['h']}, M={r['index_bound']}, {p['sequence']}): "
-            f"tuples={r['total_tuples']} energy={r['energy']} "
-            f"distinct={r['distinct_sums']} max_r={r['max_multiplicity']} "
-            f"cs_floor={r['cs_lower_bound']}"
-        )
-    if kind == "restricted-sums":
-        return (
-            f"restricted-sums(k={p['k']}, h={p['h']}, X={p['x']}, c={p['c']}): "
-            f"distinct={r['distinct_sums']} cs_floor={r['cs_lower_bound']} "
-            f"max_r={r['max_multiplicity']} trivial_ok={r['trivial_bound_ok']}"
-        )
-    if kind == "coverage-threshold":
-        return (
-            f"coverage(k=2, R<={p['r_max']}): repeats={r['repeats_threshold']} "
-            f"distinct={r['distinct_threshold']}"
-        )
-    if kind == "exponent-fit":
-        return (
-            f"exponent-fit(k={p['k']}, h={p['h']}, {len(p['bounds'])} bounds, "
-            f"{p['sequence']}): alpha_hat={r['alpha_hat']:.4f} "
-            f"(comparison {r['comparison_exponent']:.4f}, "
-            f"plausible={r['hypothesis_plausible']}) residual={r['residual']:.4g}"
-        )
-    if kind == "asymptotic-ratio":
-        return (
-            f"asymptotic-ratio(k={p['k']}, X={p['x']}): count={r['count']} "
-            f"ratio={r['ratio']:.6f}"
-        )
-    raise ValueError(f"unknown kind {kind!r}")
+    return KINDS[record.kind].summarize(record.parameters, record.results)

@@ -26,16 +26,6 @@ from typing import Any
 
 from ._version import __version__
 
-EXPERIMENT_KINDS = (
-    "min-rep",
-    "survey-H",
-    "energy",
-    "restricted-sums",
-    "coverage-threshold",
-    "exponent-fit",
-    "asymptotic-ratio",
-)
-
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _FRACTION_RE = re.compile(r"-?[0-9]+/[0-9]+\Z")
 _FLOAT_RE = re.compile(r"-?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
@@ -181,9 +171,10 @@ def load_records_json(path: Path) -> list[SurveyRecord]:
     return records_from_json(Path(path).read_text(encoding="utf-8"))
 
 
-# Fixed CSV column order per experiment kind. Every row of a file shares one
-# kind; parameter and result columns are prefixed to keep the header
-# self-describing.
+# The one schema of every experiment kind: its parameter names, which are the
+# only parameters it accepts, and its result names, both in their fixed CSV
+# column order. Every row of a CSV file shares one kind; parameter and result
+# columns are prefixed to keep the header self-describing.
 CSV_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     "min-rep": (
         ("k", "n", "h_max", "mode"),
@@ -243,6 +234,8 @@ CSV_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
         ("floor_index", "count", "ratio"),
     ),
 }
+
+EXPERIMENT_KINDS = tuple(CSV_FIELDS)
 
 
 def _cell(encoded: Any) -> str:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from binsum import load_records_csv, load_records_json
+from binsum.cli import main
 
 
 def run_cli(*args, env=None):
@@ -84,6 +85,31 @@ class TestExitCodes:
     def test_version_is_0(self):
         proc = run_cli("--version")
         assert proc.returncode == 0
+
+    def test_min_rep_bad_parameter_is_a_usage_error(self):
+        proc = run_cli("min-rep", "--k", "0", "--n", "5")
+        assert proc.returncode == 1
+        assert "Error: k must be >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestExplicitZeros:
+    """An explicit 0 is validated, never replaced by the default."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["min-rep", "--k", "3", "--n", "17", "--h-max", "0"], "h_max must be >= 1"),
+        (["survey", "--kind", "survey-H", "--k", "3", "--max", "100",
+          "--max-witnesses", "0"], "max_witnesses must be >= 1"),
+        (["survey", "--kind", "survey-H", "--k", "3", "--max", "100", "--n-min", "0"],
+         "need 1 <= n_min <= n_max"),
+        (["survey", "--kind", "coverage-threshold", "--k", "0", "--r-max", "10"],
+         "coverage threshold is defined for k=2 only"),
+    ], ids=["min-rep-h-max", "survey-H-max-witnesses", "survey-H-n-min", "coverage-k"])
+    def test_zero_is_rejected(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"Error: {message}" in captured.err
 
 
 class TestSurvey:

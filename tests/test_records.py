@@ -166,3 +166,8 @@ class TestCsvRoundTrip:
             param_names, result_names = CSV_FIELDS[record.kind]
             assert set(record.parameters) == set(param_names), record.kind
             assert set(record.results) == set(result_names), record.kind
+
+    def test_unknown_parameter_names_are_rejected(self):
+        # a misspelt h_max must not silently run with the default of 8
+        with pytest.raises(ValueError, match="hmax"):
+            run_experiment("min-rep", {"k": 3, "n": 17, "hmax": 3})
