@@ -16,7 +16,6 @@ from binsum import ResultCache, dump_records_csv, dump_records_json, run_experim
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=10**6)
-    parser.add_argument("--chunk-size", type=int, default=None)
     parser.add_argument("--cache-dir", type=Path, default=None)
     parser.add_argument("--out-dir", type=Path, default=Path("results"))
     parser.add_argument("--format", choices=["json", "csv"], default="json")
@@ -30,12 +29,7 @@ def main(argv: list[str] | None = None) -> int:
     ]
     records = []
     for params in jobs:
-        record, hit = run_experiment(
-            "survey-H",
-            params,
-            chunk_size=args.chunk_size,
-            cache=cache,
-        )
+        record, hit = run_experiment("survey-H", params, cache=cache)
         print(summary_line(record) + (" [cached]" if hit else ""))
         records.append(record)
 

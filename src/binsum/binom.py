@@ -15,8 +15,10 @@ __all__ = [
     "count_upto",
     "asymptotic_ratio",
     "gap",
+    "IncreasingSequence",
     "BinomialSequence",
     "PowerSequence",
+    "SEQUENCES",
 ]
 
 # floor_index takes a float k-th root while k! * bound has at most this
@@ -49,25 +51,6 @@ def binom(n: int, k: int) -> int:
         # binomial coefficient, hence divisible by i.
         out = out * (n - i + 1) // i
     return out
-
-
-def _bracket_floor(value_at, lo: int, bound: int) -> int:
-    """Largest n >= lo with value_at(n) <= bound.
-
-    Assumes value_at is nondecreasing and value_at(lo) <= bound. Brackets the
-    answer by doubling, then bisects.
-    """
-    hi = lo + 1
-    while value_at(hi) <= bound:
-        lo = hi
-        hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if value_at(mid) <= bound:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def _iroot(m: int, k: int) -> int:
@@ -143,15 +126,47 @@ def gap(k: int, n: int) -> int:
     return g
 
 
-class BinomialSequence:
-    """The strictly increasing values C(n, k) for n >= k, at a fixed k >= 1."""
+class IncreasingSequence:
+    """A strictly increasing integer sequence at a fixed order k >= 1.
+
+    Subclasses give value(n), floor_index(bound) (the largest n with
+    value(n) <= bound, for bound >= 1) and first_index; the rest follows.
+    """
 
     __slots__ = ("order",)
-    kind = "binomial"
+    kind: str
 
     def __init__(self, order: int) -> None:
         _require_order(order)
         self.order = order
+
+    def count_upto(self, bound: int) -> int:
+        return self.floor_index(bound) - self.first_index + 1
+
+    def index_of(self, value: int) -> int | None:
+        """Index n with value(n) == value, or None."""
+        if value < 1:
+            return None
+        n = self.floor_index(value)
+        return n if self.value(n) == value else None
+
+    def contains(self, value: int) -> bool:
+        return self.index_of(value) is not None
+
+    def values_upto(self, bound: int) -> list[int]:
+        if bound < 1:
+            return []
+        return [self.value(n) for n in range(self.first_index, self.floor_index(bound) + 1)]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(order={self.order})"
+
+
+class BinomialSequence(IncreasingSequence):
+    """The strictly increasing values C(n, k) for n >= k, at a fixed k >= 1."""
+
+    __slots__ = ()
+    kind = "binomial"
 
     @property
     def first_index(self) -> int:
@@ -165,43 +180,17 @@ class BinomialSequence:
     def floor_index(self, bound: int) -> int:
         return floor_index(self.order, bound)
 
-    def count_upto(self, bound: int) -> int:
-        return count_upto(self.order, bound)
 
-    def index_of(self, value: int) -> int | None:
-        """Index n with C(n, k) == value, or None."""
-        if value < 1:
-            return None
-        n = floor_index(self.order, value)
-        return n if binom(n, self.order) == value else None
-
-    def contains(self, value: int) -> bool:
-        return self.index_of(value) is not None
-
-    def values_upto(self, bound: int) -> list[int]:
-        if bound < 1:
-            return []
-        hi = floor_index(self.order, bound)
-        return [binom(n, self.order) for n in range(self.order, hi + 1)]
-
-    def __repr__(self) -> str:
-        return f"BinomialSequence(order={self.order})"
-
-
-class PowerSequence:
+class PowerSequence(IncreasingSequence):
     """The strictly increasing values n**k for n >= 1, at a fixed k >= 1.
 
     Comparison sequence for the multiplicity statistics: same index
     conventions as BinomialSequence but with first index 1.
     """
 
-    __slots__ = ("order",)
+    __slots__ = ()
     kind = "power"
     first_index = 1
-
-    def __init__(self, order: int) -> None:
-        _require_order(order)
-        self.order = order
 
     def value(self, n: int) -> int:
         if n < 1:
@@ -211,28 +200,10 @@ class PowerSequence:
     def floor_index(self, bound: int) -> int:
         if bound < 1:
             raise ValueError(f"bound must be >= 1, got {bound}")
-        if self.order == 1:
-            return bound
-        if self.order == 2:
-            return math.isqrt(bound)
-        return _bracket_floor(lambda n: n**self.order, 1, bound)
+        return _iroot(bound, self.order)
 
-    def count_upto(self, bound: int) -> int:
-        return self.floor_index(bound)
 
-    def index_of(self, value: int) -> int | None:
-        if value < 1:
-            return None
-        n = self.floor_index(value)
-        return n if n**self.order == value else None
-
-    def contains(self, value: int) -> bool:
-        return self.index_of(value) is not None
-
-    def values_upto(self, bound: int) -> list[int]:
-        if bound < 1:
-            return []
-        return [n**self.order for n in range(1, self.floor_index(bound) + 1)]
-
-    def __repr__(self) -> str:
-        return f"PowerSequence(order={self.order})"
+# Every sequence by the name that records, the CLI and the energy functions use.
+SEQUENCES: dict[str, type[IncreasingSequence]] = {
+    cls.kind: cls for cls in (BinomialSequence, PowerSequence)
+}

@@ -11,8 +11,10 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from ._version import __version__
+from .binom import SEQUENCES
 from .cache import ResultCache
 from .errors import NoRepresentationError, ResourceBudgetError
 from .experiments import run_experiment, summary_line
@@ -35,6 +37,8 @@ from .represent import (
 )
 
 CACHE_ENV_VAR = "BINSUM_CACHE_DIR"
+# options survey takes for every kind: how to run and where to write
+_SURVEY_KNOBS = ("out", "fmt", "cache_dir", "threads", "memory_budget")
 
 
 def _output_options(f):
@@ -107,7 +111,6 @@ def _run_and_report(kind: str, options: dict) -> SurveyRecord:
             kind,
             params,
             threads=_resolve_threads(options["threads"]),
-            chunk_size=options.get("chunk_size"),
             memory_budget=options.get("memory_budget"),
             cache=None if cache_dir is None else ResultCache(cache_dir),
         )
@@ -236,24 +239,40 @@ def min_rep(**options):
 @click.option("--max", "n_max", type=int, default=None, help="Survey range end.")
 @click.option("--cap", type=int, default=None, help="Survey table term cap.")
 @click.option("--max-witnesses", type=int, default=None)
-@click.option("--chunk-size", type=int, default=None,
-              help="Survey scan chunk size (results are identical regardless).")
 @click.option("--index-bound", type=int, default=None)
 @click.option("--x", "bounds", type=int, multiple=True,
               help="Value bound; repeat for exponent fits.")
 @click.option("--convention", type=click.Choice(["value", "index"]), default=None)
 @click.option("--c", type=str, default=None,
               help="Per-term budget fraction, e.g. 1/2.")
-@click.option("--sequence", type=click.Choice(["binomial", "power"]), default=None)
+@click.option("--sequence", type=click.Choice(list(SEQUENCES)), default=None)
 @click.option("--top", type=int, default=None, help="Report the top-T multiplicities.")
 @click.option("--r-max", type=int, default=None)
 @click.option("--memory-budget", type=int, default=None,
               help="Abort (exit 3) if the working set would exceed this many bytes.")
 @_mode_option
 @_output_options
-def survey(kind, **options):
-    """Run any experiment kind and export its record."""
-    options["x"] = options["bounds"][0] if options["bounds"] else None
+@click.pass_context
+def survey(ctx, kind, **options):
+    """Run any experiment kind and export its record.
+
+    Takes the kind's parameters and the output and execution options only;
+    --x repeats only for exponent fits.
+    """
+    accepted = {"kind", *CSV_FIELDS[kind][0], *_SURVEY_KNOBS}
+    if "x" in accepted:
+        if len(options["bounds"]) > 1:
+            raise click.UsageError(f"--kind {kind} takes a single --x")
+        accepted.add("bounds")
+        options["x"] = options["bounds"][0] if options["bounds"] else None
+    foreign = [
+        param.opts[0]
+        for param in ctx.command.params
+        if param.name not in accepted
+        and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE
+    ]
+    if foreign:
+        raise click.UsageError(f"--kind {kind} takes no {', '.join(foreign)}")
     _run_and_report(kind, options)
 
 
@@ -265,7 +284,7 @@ def survey(kind, **options):
 @click.option("--convention", type=click.Choice(["value", "index"]), default=None)
 @click.option("--c", type=str, default=None,
               help="Run the restricted (per-term capped) variant; needs --x.")
-@click.option("--sequence", type=click.Choice(["binomial", "power"]), default="binomial",
+@click.option("--sequence", type=click.Choice(list(SEQUENCES)), default="binomial",
               show_default=True)
 @click.option("--top", type=int, default=0, show_default=True)
 @_output_options
@@ -302,7 +321,7 @@ def coverage(mode, **options):
 @click.option("--h", type=int, required=True)
 @click.option("--x", "bounds", type=int, multiple=True, required=True,
               help="Value bounds; give at least three.")
-@click.option("--sequence", type=click.Choice(["binomial", "power"]), default="binomial",
+@click.option("--sequence", type=click.Choice(list(SEQUENCES)), default="binomial",
               show_default=True)
 @_output_options
 def fit(**options):

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .binom import BinomialSequence, PowerSequence
+from .binom import SEQUENCES, IncreasingSequence
 from .errors import ResourceBudgetError
 
 __all__ = [
@@ -58,8 +58,6 @@ __all__ = [
     "fit_energy_exponent",
     "multiplicity_extremes",
 ]
-
-SequenceLike = BinomialSequence | PowerSequence
 
 DEFAULT_ENUMERATION_BUDGET = 20_000_000
 DEFAULT_DENSE_BUDGET = 150_000_000
@@ -91,21 +89,22 @@ _LIMB_BITS = 21
 STRATEGIES = ("auto", "direct", "mitm", "convolve")
 
 
-def _resolve_sequence(k: int, sequence: SequenceLike | str | None) -> SequenceLike:
-    if sequence is None or sequence == "binomial":
-        return BinomialSequence(k)
-    if sequence == "power":
-        return PowerSequence(k)
-    if isinstance(sequence, (BinomialSequence, PowerSequence)):
+def _resolve_sequence(
+    k: int, sequence: IncreasingSequence | str | None
+) -> IncreasingSequence:
+    if isinstance(sequence, IncreasingSequence):
         if sequence.order != k:
             raise ValueError(
                 f"sequence order {sequence.order} does not match k={k}"
             )
         return sequence
-    raise ValueError(f"unknown sequence {sequence!r}")
+    name = "binomial" if sequence is None else sequence
+    if name not in SEQUENCES:
+        raise ValueError(f"unknown sequence {sequence!r}")
+    return SEQUENCES[name](k)
 
 
-def _admissible_values(seq: SequenceLike, index_bound: int) -> list[int]:
+def _admissible_values(seq: IncreasingSequence, index_bound: int) -> list[int]:
     if index_bound < seq.first_index:
         raise ValueError(
             f"index_bound must be >= {seq.first_index}, got {index_bound}"
@@ -429,9 +428,9 @@ def _pick_strategy(
 def _tally(
     values: list[int],
     h: int,
-    strategy: str,
-    enumeration_budget: int,
-    dense_budget: int,
+    strategy: str = "auto",
+    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
+    dense_budget: int = DEFAULT_DENSE_BUDGET,
     threads: int = 1,
 ) -> Tally:
     """Dispatch to one strategy; every strategy returns the same exact
@@ -455,10 +454,8 @@ def multiplicity_map(
     h: int,
     index_bound: int,
     *,
-    sequence: SequenceLike | str | None = None,
+    sequence: IncreasingSequence | str | None = None,
     strategy: str = "auto",
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-    dense_budget: int = DEFAULT_DENSE_BUDGET,
     threads: int = 1,
 ) -> dict[int, int]:
     """Tally {sum s: r(s)} over ordered h-tuples of indices in
@@ -471,7 +468,7 @@ def multiplicity_map(
         raise ValueError(f"arity must be h >= 1, got {h}")
     seq = _resolve_sequence(k, sequence)
     values = _admissible_values(seq, index_bound)
-    sums, counts = _tally(values, h, strategy, enumeration_budget, dense_budget, threads)
+    sums, counts = _tally(values, h, strategy, threads=threads)
     return dict(zip(sums.tolist(), counts.tolist()))
 
 
@@ -537,11 +534,8 @@ def _report_and_extremes(
     index_bound: int,
     top: int,
     *,
-    sequence: SequenceLike | str | None = None,
+    sequence: IncreasingSequence | str | None = None,
     value_bound: int | None = None,
-    strategy: str = "auto",
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-    dense_budget: int = DEFAULT_DENSE_BUDGET,
     threads: int = 1,
 ) -> tuple[EnergyReport, list[tuple[int, int]]]:
     """energy_report and the top multiplicity_extremes (none for top=0),
@@ -550,7 +544,7 @@ def _report_and_extremes(
         raise ValueError(f"arity must be h >= 1, got {h}")
     seq = _resolve_sequence(k, sequence)
     values = _admissible_values(seq, index_bound)
-    tally = _tally(values, h, strategy, enumeration_budget, dense_budget, threads)
+    tally = _tally(values, h, threads=threads)
     total, energy, distinct, max_mult = _aggregate(tally)
     report = EnergyReport(
         order=k,
@@ -573,25 +567,13 @@ def energy_report(
     h: int,
     index_bound: int,
     *,
-    sequence: SequenceLike | str | None = None,
+    sequence: IncreasingSequence | str | None = None,
     value_bound: int | None = None,
-    strategy: str = "auto",
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-    dense_budget: int = DEFAULT_DENSE_BUDGET,
     threads: int = 1,
 ) -> EnergyReport:
     """Exact multiplicity aggregates for h-fold sums up to index_bound."""
     report, _ = _report_and_extremes(
-        k,
-        h,
-        index_bound,
-        0,
-        sequence=sequence,
-        value_bound=value_bound,
-        strategy=strategy,
-        enumeration_budget=enumeration_budget,
-        dense_budget=dense_budget,
-        threads=threads,
+        k, h, index_bound, 0, sequence=sequence, value_bound=value_bound, threads=threads
     )
     return report
 
@@ -601,7 +583,7 @@ def index_bound_for(
     bound: int,
     convention: str = "value",
     *,
-    sequence: SequenceLike | str | None = None,
+    sequence: IncreasingSequence | str | None = None,
 ) -> int:
     """Index cap for a bound X: under the "value" convention every admitted
     value is <= X; under the literal "index" convention the indices
@@ -677,10 +659,7 @@ class RestrictedReport:
 def restricted_distinct_sums(
     spec: RestrictedTupleSpec,
     *,
-    sequence: SequenceLike | str | None = None,
-    strategy: str = "auto",
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-    dense_budget: int = DEFAULT_DENSE_BUDGET,
+    sequence: IncreasingSequence | str | None = None,
     threads: int = 1,
 ) -> RestrictedReport:
     """Multiplicity aggregates for tuples with per-term value cap
@@ -696,15 +675,7 @@ def restricted_distinct_sums(
         spec.fraction.numerator * spec.budget // spec.fraction.denominator
     ) <= spec.budget
     report, _ = _report_and_extremes(
-        spec.order,
-        spec.arity,
-        max_index,
-        0,
-        sequence=seq,
-        value_bound=spec.budget,
-        strategy=strategy,
-        enumeration_budget=enumeration_budget,
-        dense_budget=dense_budget,
+        spec.order, spec.arity, max_index, 0, sequence=seq, value_bound=spec.budget,
         threads=threads,
     )
     count = report.admissible_count
@@ -744,10 +715,7 @@ def fit_energy_exponent(
     h: int,
     bounds: list[int],
     *,
-    sequence: SequenceLike | str | None = None,
-    strategy: str = "auto",
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-    dense_budget: int = DEFAULT_DENSE_BUDGET,
+    sequence: IncreasingSequence | str | None = None,
     threads: int = 1,
 ) -> ExponentFit:
     """Fit energy growth across value bounds; the index bound for each X is
@@ -763,15 +731,7 @@ def fit_energy_exponent(
     observations = []
     for bound in bounds:
         report = energy_report(
-            k,
-            h,
-            seq.floor_index(bound),
-            sequence=seq,
-            value_bound=bound,
-            strategy=strategy,
-            enumeration_budget=enumeration_budget,
-            dense_budget=dense_budget,
-            threads=threads,
+            k, h, seq.floor_index(bound), sequence=seq, value_bound=bound, threads=threads
         )
         observations.append((bound, report.energy))
     x = np.log([float(b) for b, _ in observations])
@@ -798,10 +758,7 @@ def multiplicity_extremes(
     index_bound: int,
     top: int,
     *,
-    sequence: SequenceLike | str | None = None,
-    strategy: str = "auto",
-    enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
-    dense_budget: int = DEFAULT_DENSE_BUDGET,
+    sequence: IncreasingSequence | str | None = None,
     threads: int = 1,
 ) -> list[tuple[int, int]]:
     """The top sums by multiplicity: (s, r(s)) with r descending, ties by
@@ -809,14 +766,6 @@ def multiplicity_extremes(
     if top < 1:
         raise ValueError(f"top must be >= 1, got {top}")
     _, extremes = _report_and_extremes(
-        k,
-        h,
-        index_bound,
-        top,
-        sequence=sequence,
-        strategy=strategy,
-        enumeration_budget=enumeration_budget,
-        dense_budget=dense_budget,
-        threads=threads,
+        k, h, index_bound, top, sequence=sequence, threads=threads
     )
     return extremes

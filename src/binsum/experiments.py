@@ -6,8 +6,8 @@ normalizer (rejects parameters outside the schema, fills defaults only for
 absent or None ones, validates, and fixes the key set so fingerprints are
 stable), its runner (a results dict with every schema field, None where not
 applicable) and its console summary. The CLI reads a kind's parameters from
-the options of the same names. Thread count, chunk size and memory budget
-are execution knobs, not experiment parameters: they never enter the
+the options of the same names. Thread count and memory budget are
+execution knobs, not experiment parameters: they never enter the
 fingerprint because they never change the results.
 """
 from __future__ import annotations
@@ -19,14 +19,14 @@ from typing import Any, Callable, NamedTuple
 
 from . import energy as energy_mod
 from . import represent
-from .binom import asymptotic_ratio, count_upto, floor_index
+from .binom import SEQUENCES, asymptotic_ratio, count_upto, floor_index
 from .cache import ResultCache
 from .records import CSV_FIELDS, EXPERIMENT_KINDS, SurveyRecord, fingerprint
 from .represent import SearchMode
 
 __all__ = ["run_experiment", "summary_line", "EXPERIMENT_KINDS"]
 
-_SEQUENCES = ("binomial", "power")
+_SEQUENCES = tuple(SEQUENCES)
 _CONVENTIONS = ("value", "index")
 
 
@@ -34,12 +34,8 @@ _CONVENTIONS = ("value", "index")
 class ExecutionKnobs:
     """How to run, never what to compute; fingerprints ignore all of this."""
 
-    threads: int = 1
-    chunk_size: int | None = None
-    memory_budget: int | None = None
-
-    def budget_kwargs(self) -> dict[str, int]:
-        return {} if self.memory_budget is None else {"memory_budget": self.memory_budget}
+    threads: int
+    memory_budget: int
 
 
 def _require(condition: bool, message: str) -> None:
@@ -117,8 +113,7 @@ def _run_survey(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
         params["mode"],
         cap=params["cap"],
         max_witnesses=params["max_witnesses"],
-        chunk_size=knobs.chunk_size,
-        **knobs.budget_kwargs(),
+        memory_budget=knobs.memory_budget,
     )
     return {
         "max_terms": survey.max_terms,
@@ -265,10 +260,10 @@ def _normalize_coverage(params: dict[str, Any]) -> dict[str, Any]:
 def _run_coverage(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
     return {
         "repeats_threshold": represent.sumset_coverage_threshold(
-            params["r_max"], SearchMode.REPEATS, **knobs.budget_kwargs()
+            params["r_max"], SearchMode.REPEATS, memory_budget=knobs.memory_budget
         ),
         "distinct_threshold": represent.sumset_coverage_threshold(
-            params["r_max"], SearchMode.DISTINCT, **knobs.budget_kwargs()
+            params["r_max"], SearchMode.DISTINCT, memory_budget=knobs.memory_budget
         ),
     }
 
@@ -375,7 +370,8 @@ def normalize_parameters(kind: str, params: dict[str, Any]) -> dict[str, Any]:
     if unknown:
         raise ValueError(f"{kind} takes no parameter {unknown}; it takes {list(names)}")
     try:
-        return KINDS[kind].normalize(params)
+        # a None value counts as absent, as the CLI passes absent options
+        return KINDS[kind].normalize({n: v for n, v in params.items() if v is not None})
     except KeyError as exc:
         raise ValueError(f"{kind} requires parameter {exc.args[0]!r}") from None
 
@@ -385,7 +381,6 @@ def run_experiment(
     params: dict[str, Any],
     *,
     threads: int = 1,
-    chunk_size: int | None = None,
     memory_budget: int | None = None,
     cache: ResultCache | None = None,
 ) -> tuple[SurveyRecord, bool]:
@@ -393,14 +388,17 @@ def run_experiment(
 
     Returns (record, cache_hit). The fingerprint covers kind and normalized
     parameters only, so equivalent requests share a cache entry no matter
-    how they are chunked, threaded, or budgeted.
+    how they are threaded or budgeted. memory_budget None means
+    represent.DEFAULT_MEMORY_BUDGET.
     """
     normalized = normalize_parameters(kind, params)
     if cache is not None:
         hit = cache.lookup(fingerprint(kind, normalized))
         if hit is not None:
             return hit, True
-    knobs = ExecutionKnobs(threads, chunk_size, memory_budget)
+    if memory_budget is None:
+        memory_budget = represent.DEFAULT_MEMORY_BUDGET
+    knobs = ExecutionKnobs(threads, memory_budget)
     started = time.perf_counter()
     results = KINDS[kind].run(normalized, knobs)
     record = SurveyRecord(

@@ -6,8 +6,8 @@ Decoding reverses both rules, which is lossless because no genuine string
 field in any record consists solely of digits.
 
 Wall-clock duration is intentionally absent from the serialized forms:
-exports must be byte-identical across reruns, thread counts and chunkings,
-and a timing field would break that. It stays on the in-memory record for
+exports must be byte-identical across reruns and thread counts, and a
+timing field would break that. It stays on the in-memory record for
 console summaries only.
 """
 from __future__ import annotations

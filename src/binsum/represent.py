@@ -634,12 +634,6 @@ class MinRepSurvey:
 _HIT_WINDOW = 4096
 
 
-def _chunk_ranges(lo: int, hi: int, chunk_size: int | None) -> list[tuple[int, int]]:
-    if chunk_size is None or chunk_size <= 0:
-        return [(lo, hi)]
-    return [(a, min(a + chunk_size - 1, hi)) for a in range(lo, hi + 1, chunk_size)]
-
-
 def _first_hits(mask: np.ndarray, limit: int, offset: int) -> list[int]:
     """Positions (plus offset) of the first limit True cells of mask,
     ascending.
@@ -671,16 +665,14 @@ def survey_min_rep(
     cap: int | None = None,
     max_witnesses: int = 10,
     max_exceptions: int = 100,
-    chunk_size: int | None = None,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> MinRepSurvey:
     """Largest minimal summand count over [n_min, n_max], with witnesses.
 
-    Builds the dense table once, then scans disjoint chunks of it in order.
-    The outcome does not depend on chunking: chunk maxima merge by max,
-    witness and exception lists concatenate in ascending target order and
-    are truncated to their configured limits. Targets with no
-    representation within the cap are reported as exceptions, not failures.
+    Builds the dense table once, then scans its targets n_min..n_max: the
+    largest count, the first targets that reach it (witnesses) and the first
+    with no representation within the cap (exceptions, not failures), both
+    in ascending target order and truncated to their configured limits.
     """
     mode = SearchMode.coerce(mode)
     if not (1 <= n_min <= n_max):
@@ -688,36 +680,14 @@ def survey_min_rep(
     if cap is None:
         cap = CAP_MAX if mode is SearchMode.REPEATS else 8
     table = min_rep_table(k, n_max, cap, mode, memory_budget=memory_budget)
-    counts = table.counts
-    chunks = _chunk_ranges(n_min, n_max, chunk_size)
-
-    def chunk_max(bounds: tuple[int, int]) -> int:
-        lo, hi = bounds
-        sub = counts[lo : hi + 1]
-        top = int(sub.max())
-        if top == EXCEEDS_CAP:
-            # uint8 wraparound sends EXCEEDS_CAP to 0 and every count c to c + 1
-            top = int((sub + 1).max()) - 1
-        return top
-
-    best = max(chunk_max(bounds) for bounds in chunks)
+    counts = table.counts[n_min:]
+    best = int(counts.max())
+    if best == EXCEEDS_CAP:
+        # uint8 wraparound sends EXCEEDS_CAP to 0 and every count c to c + 1
+        best = int((counts + 1).max()) - 1
     max_terms = None if best < 0 else best
-
-    def chunk_details(bounds: tuple[int, int]) -> tuple[list[int], list[int], int]:
-        lo, hi = bounds
-        sub = counts[lo : hi + 1]
-        hits = [] if max_terms is None else _first_hits(sub == best, max_witnesses, lo)
-        missing = sub == EXCEEDS_CAP
-        return hits, _first_hits(missing, max_exceptions, lo), int(np.count_nonzero(missing))
-
-    witnesses: list[tuple[int, int]] = []
-    exceptions: list[int] = []
-    exception_count = 0
-    for hits, missing, missing_total in map(chunk_details, chunks):
-        if max_terms is not None:
-            witnesses.extend((n, max_terms) for n in hits)
-        exceptions.extend(missing)
-        exception_count += missing_total
+    hits = [] if max_terms is None else _first_hits(counts == best, max_witnesses, n_min)
+    missing = counts == EXCEEDS_CAP
     return MinRepSurvey(
         order=k,
         mode=mode,
@@ -725,9 +695,9 @@ def survey_min_rep(
         n_max=n_max,
         cap=cap,
         max_terms=max_terms,
-        witnesses=tuple(witnesses[:max_witnesses]),
-        exceptions=tuple(exceptions[:max_exceptions]),
-        exception_count=exception_count,
+        witnesses=tuple((n, best) for n in hits),
+        exceptions=tuple(_first_hits(missing, max_exceptions, n_min)),
+        exception_count=int(np.count_nonzero(missing)),
     )
 
 

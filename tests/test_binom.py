@@ -69,19 +69,26 @@ def test_floor_index_is_tight():
             assert binom(n + 1, k) > bound
 
 
-def bracket_floor_index(k: int, bound: int) -> int:
-    """Largest n with C(n, k) <= bound by doubling and bisection on
-    math.comb: the reference floor_index's root estimate must match."""
-    lo, hi = k, k + 1
-    while math.comb(hi, k) <= bound:
+def bisect_floor(value_at, lo: int, bound: int) -> int:
+    """Largest n >= lo with value_at(n) <= bound, for a nondecreasing
+    value_at with value_at(lo) <= bound, by doubling and bisection on
+    Python ints."""
+    hi = lo + 1
+    while value_at(hi) <= bound:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if math.comb(mid, k) <= bound:
+        if value_at(mid) <= bound:
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def bracket_floor_index(k: int, bound: int) -> int:
+    """Largest n with C(n, k) <= bound on math.comb: the reference
+    floor_index's root estimate must match."""
+    return bisect_floor(lambda n: math.comb(n, k), k, bound)
 
 
 def test_floor_index_matches_bracket_reference():
@@ -198,6 +205,15 @@ def test_power_sequence_basics():
     assert seq.count_upto(64) == 4
     assert seq.index_of(27) == 3
     assert seq.index_of(28) is None
+    # the exact integer root at n**k - 1, n**k and n**k + 1, past 2**64
+    rng = random.Random(1729)
+    for k in range(1, 11):
+        power = PowerSequence(k)
+        for n in [1, 2, 3, 10, 10**6 + 3, 10**29] + [rng.randrange(2, 10**29) for _ in range(20)]:
+            for bound in (n**k - 1, n**k, n**k + 1):
+                if bound >= 1:
+                    want = bisect_floor(lambda m: m**k, 1, bound)
+                    assert power.floor_index(bound) == want, (k, bound)
 
 
 @given(st.integers(1, 5), st.integers(1, 10**12))

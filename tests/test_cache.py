@@ -66,11 +66,12 @@ def test_run_experiment_uses_cache(tmp_path):
 
 
 def test_cache_key_ignores_threads_and_chunking(tmp_path):
+    # execution knobs, threads and the memory budget, never reach the key
     cache = ResultCache(tmp_path)
     params = {"k": 2, "n_max": 500}
-    first, _ = run_experiment("survey-H", params, threads=1, chunk_size=64, cache=cache)
+    first, _ = run_experiment("survey-H", params, threads=1, cache=cache)
     second, hit = run_experiment(
-        "survey-H", params, threads=4, chunk_size=7, cache=cache
+        "survey-H", params, threads=4, memory_budget=10**6, cache=cache
     )
     assert hit
     assert first == second

@@ -94,7 +94,9 @@ class TestExitCodes:
 
 
 class TestExplicitZeros:
-    """An explicit 0 is validated, never replaced by the default."""
+    """An explicit 0 is validated, never replaced by the default. Usage
+    errors also name a missing required parameter, and survey refuses the
+    options that its kind does not take."""
 
     @pytest.mark.parametrize("argv, message", [
         (["min-rep", "--k", "3", "--n", "17", "--h-max", "0"], "h_max must be >= 1"),
@@ -104,7 +106,21 @@ class TestExplicitZeros:
          "need 1 <= n_min <= n_max"),
         (["survey", "--kind", "coverage-threshold", "--k", "0", "--r-max", "10"],
          "coverage threshold is defined for k=2 only"),
-    ], ids=["min-rep-h-max", "survey-H-max-witnesses", "survey-H-n-min", "coverage-k"])
+        (["survey", "--kind", "min-rep", "--k", "3"], "min-rep requires parameter 'n'"),
+        (["survey", "--kind", "survey-H", "--k", "3"], "survey-H requires parameter 'n_max'"),
+        (["survey", "--kind", "restricted-sums", "--k", "2", "--h", "2"],
+         "restricted-sums requires parameter 'x'"),
+        (["survey", "--kind", "asymptotic-ratio", "--k", "3"],
+         "asymptotic-ratio requires parameter 'x'"),
+        (["survey", "--kind", "energy", "--k", "2", "--h", "2", "--x", "300", "--x", "600"],
+         "--kind energy takes a single --x"),
+        (["survey", "--kind", "asymptotic-ratio", "--k", "3", "--x", "10", "--top", "4",
+          "--r-max", "9"], "--kind asymptotic-ratio takes no --top, --r-max"),
+        (["survey", "--kind", "energy", "--k", "2", "--h", "2", "--x", "300",
+          "--mode", "distinct"], "--kind energy takes no --mode"),
+    ], ids=["min-rep-h-max", "survey-H-max-witnesses", "survey-H-n-min", "coverage-k",
+            "min-rep-no-n", "survey-H-no-max", "restricted-sums-no-x", "ratio-no-x",
+            "energy-repeated-x", "ratio-foreign-options", "energy-mode"])
     def test_zero_is_rejected(self, argv, message, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()

@@ -133,10 +133,11 @@ class TestMultiplicityMap:
                 assert sum(counts.tolist()) == len(values) ** 3
 
     def test_budget_errors(self):
+        values = sequence_values(2, 100, "binomial")
         with pytest.raises(ResourceBudgetError):
-            multiplicity_map(2, 4, 100, strategy="direct", enumeration_budget=10)
+            _tally(values, 4, "direct", enumeration_budget=10)
         with pytest.raises(ResourceBudgetError):
-            multiplicity_map(2, 3, 100, strategy="convolve", dense_budget=10)
+            _tally(values, 3, "convolve", dense_budget=10)
 
     def test_bad_strategy_rejected(self):
         with pytest.raises(ValueError):
@@ -160,13 +161,13 @@ class TestEnergyReport:
     def test_frozen_regression_order2_triples(self):
         # all three strategies once produced these numbers; pinned to catch
         # any silent tally change
+        values = sequence_values(2, 30, "binomial")
         for strategy in ("direct", "mitm", "convolve"):
-            r = energy_report(2, 3, index_bound=30, strategy=strategy)
-            assert r.total_tuples == 24389
-            assert r.energy == 850409
-            assert r.distinct_sums == 1031
-            assert r.max_multiplicity == 87
-            assert r.cs_lower_bound == 700
+            assert _aggregate(_tally(values, 3, strategy)) == (24389, 850409, 1031, 87)
+        r = energy_report(2, 3, index_bound=30)
+        assert (r.total_tuples, r.energy, r.distinct_sums) == (24389, 850409, 1031)
+        assert r.max_multiplicity == 87
+        assert r.cs_lower_bound == 700
 
     def test_moment_identity_on_grid(self):
         for k in (1, 2, 3):
@@ -315,9 +316,10 @@ class TestExtremes:
         assert full == [(4, 2), (7, 2), (9, 2), (2, 1), (6, 1), (12, 1)]
 
     def test_dense_and_dict_paths_agree(self):
-        a = multiplicity_extremes(2, 3, 25, 10, strategy="convolve")
-        b = multiplicity_extremes(2, 3, 25, 10, strategy="direct")
-        assert a == b
+        values = sequence_values(2, 25, "binomial")
+        a = _top(_tally(values, 3, "convolve"), 10)
+        b = _top(_tally(values, 3, "direct"), 10)
+        assert a == b == multiplicity_extremes(2, 3, 25, 10)
 
     def test_top_cut_inside_a_tie(self):
         sums = np.array([1, 2, 3, 4, 5, 6])
@@ -331,10 +333,12 @@ class TestExtremes:
             multiplicity_map(2, 3, 25).items(), key=lambda item: (-item[1], item[0])
         )
         assert any(full[t - 1][1] == full[t][1] for t in range(1, 40))
+        values = sequence_values(2, 25, "binomial")
+        tallies = {s: _tally(values, 3, s) for s in ("direct", "mitm", "convolve")}
         for top in range(1, 40):
-            for strategy in ("direct", "mitm", "convolve"):
-                got = multiplicity_extremes(2, 3, 25, top, strategy=strategy)
-                assert got == full[:top], (top, strategy)
+            assert multiplicity_extremes(2, 3, 25, top) == full[:top], top
+            for strategy, tally in tallies.items():
+                assert _top(tally, top) == full[:top], (top, strategy)
 
     def test_power_sequence_cube_collisions(self):
         # first taxicab number: 1729 = 1 + 1728 = 729 + 1000

@@ -20,8 +20,7 @@ CASES = {
     "survey-min-rep": ["survey", "--kind", "min-rep", "--k", "3", "--n", "17", "--h-max", "4"],
     "survey-min-rep-distinct": ["survey", "--kind", "min-rep", "--k", "2", "--n", "40",
                                 "--mode", "distinct"],
-    "survey-survey-H": ["survey", "--kind", "survey-H", "--k", "3", "--max", "2000",
-                        "--chunk-size", "300"],
+    "survey-survey-H": ["survey", "--kind", "survey-H", "--k", "3", "--max", "2000"],
     "survey-survey-H-distinct": ["survey", "--kind", "survey-H", "--k", "2", "--n-min", "5",
                                  "--max", "500", "--mode", "distinct", "--cap", "6",
                                  "--max-witnesses", "3"],

@@ -647,23 +647,14 @@ class TestSurvey:
         assert s.witnesses == ((20, 4),)
 
     def test_hit_lists_match_the_table(self):
-        # hits spread over many scan windows, with chunks that split them
+        # hits spread over many scan windows
         table = min_rep_table(2, 30000, cap=2).counts
-        for chunk_size in (None, 5000):
-            s = survey_min_rep(
-                2, 1, 30000, cap=2, max_witnesses=6000, max_exceptions=9000,
-                chunk_size=chunk_size,
-            )
-            missing = np.flatnonzero(table[1:] == EXCEEDS_CAP) + 1
-            assert s.max_terms == 2
-            assert [n for n, _ in s.witnesses] == (np.flatnonzero(table[1:] == 2) + 1)[:6000].tolist()
-            assert list(s.exceptions) == missing[:9000].tolist()
-            assert s.exception_count == missing.size
-
-    def test_chunking_does_not_change_results(self):
-        base = survey_min_rep(2, 1, 20000)
-        for chunk_size in (17, 1024, 999999):
-            assert survey_min_rep(2, 1, 20000, chunk_size=chunk_size) == base
+        s = survey_min_rep(2, 1, 30000, cap=2, max_witnesses=6000, max_exceptions=9000)
+        missing = np.flatnonzero(table[1:] == EXCEEDS_CAP) + 1
+        assert s.max_terms == 2
+        assert [n for n, _ in s.witnesses] == (np.flatnonzero(table[1:] == 2) + 1)[:6000].tolist()
+        assert list(s.exceptions) == missing[:9000].tolist()
+        assert s.exception_count == missing.size
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
