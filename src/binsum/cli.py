@@ -11,13 +11,14 @@ import sys
 from pathlib import Path
 
 import click
-from click.core import ParameterSource
 
 from ._version import __version__
 from .binom import SEQUENCES
 from .cache import ResultCache
+from .energy import CONVENTIONS
 from .errors import NoRepresentationError, ResourceBudgetError
-from .experiments import run_experiment, summary_line
+from .experiments import (MissingParameterError, normalize_parameters, run_experiment,
+                          summary_line)
 from .records import (
     CSV_FIELDS,
     EXPERIMENT_KINDS,
@@ -37,50 +38,66 @@ from .represent import (
 )
 
 CACHE_ENV_VAR = "BINSUM_CACHE_DIR"
-# options survey takes for every kind: how to run and where to write
-_SURVEY_KNOBS = ("out", "fmt", "cache_dir", "threads", "memory_budget")
+
+# Every option once: parameter name -> (flag, click attributes). Experiment
+# parameters declare no default: an absent option reads None (or () where it
+# repeats), so the normalizers in experiments.py fill every default, for
+# both front doors alike.
+_OPTIONS: dict[str, tuple[str, dict]] = {
+    "k": ("--k", dict(type=int, help="Order of the sequence.")),
+    "h": ("--h", dict(type=int, help="Summands per sum.")),
+    "n": ("--n", dict(type=int, help="Target integer.")),
+    "h_max": ("--h-max", dict(type=int, help="Term budget of the exact search.")),
+    "n_min": ("--n-min", dict(type=int, help="Survey range start.")),
+    "n_max": ("--max", dict(type=int, help="Survey range end.")),
+    "cap": ("--cap", dict(type=int, help="Survey table term cap.")),
+    "max_witnesses": ("--max-witnesses", dict(type=int)),
+    "index_bound": ("--index-bound", dict(type=int)),
+    "x": ("--x", dict(type=int, help="Value bound.")),
+    "bounds": ("--x", dict(type=int, multiple=True,
+                           help="Value bound; repeat for a fit or a multi-row table.")),
+    "convention": ("--convention", dict(type=click.Choice(CONVENTIONS))),
+    "c": ("--c", dict(type=str, help="Per-term budget fraction, e.g. 1/2 "
+                                     "(energy: runs the restricted variant; needs --x).")),
+    "sequence": ("--sequence", dict(type=click.Choice(list(SEQUENCES)))),
+    "top": ("--top", dict(type=int, help="Report the top-T multiplicities.")),
+    "r_max": ("--r-max", dict(type=int)),
+    "memory_budget": ("--memory-budget", dict(
+        type=int, help="Abort (exit 3) if the working set would exceed this many bytes.")),
+    "mode": ("--mode", dict(type=click.Choice([m.value for m in SearchMode]),
+                            help="Whether summands may repeat.")),
+    "out": ("--out", dict(type=click.Path(path_type=Path),
+                          help="Write the record(s) to this file.")),
+    "fmt": ("--format", dict(type=click.Choice(["json", "csv"]), default="json",
+                             show_default=True, help="Export format for --out.")),
+    "cache_dir": ("--cache-dir", dict(type=click.Path(path_type=Path), envvar=CACHE_ENV_VAR,
+                                      help=f"Record cache directory (or set {CACHE_ENV_VAR}).")),
+    "threads": ("--threads", dict(
+        type=int, help="Threads for the dense energy fold (default: all cores), at most "
+        "one per 100,000 cells of its result. Never changes results.")),
+}
+# options every command takes: where to write and how to run
+_KNOBS = ("out", "fmt", "cache_dir", "threads")
 
 
-def _output_options(f):
-    f = click.option(
-        "--threads",
-        type=int,
-        default=None,
-        help="Threads for the dense energy fold (default: all cores), at most "
-        "one per 100,000 cells of its result. Never changes results.",
-    )(f)
-    f = click.option(
-        "--cache-dir",
-        type=click.Path(path_type=Path),
-        default=None,
-        envvar=CACHE_ENV_VAR,
-        help=f"Record cache directory (or set {CACHE_ENV_VAR}).",
-    )(f)
-    f = click.option(
-        "--out",
-        type=click.Path(path_type=Path),
-        default=None,
-        help="Write the record(s) to this file.",
-    )(f)
-    f = click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["json", "csv"]),
-        default="json",
-        show_default=True,
-        help="Export format for --out.",
-    )(f)
-    return f
+def _options(*names: str):
+    """Attach the named options, then the _KNOBS ones."""
+
+    def attach(f):
+        for name in reversed((*names, *_KNOBS)):
+            flag, attrs = _OPTIONS[name]
+            f = click.option(flag, name, **attrs)(f)
+        return f
+
+    return attach
 
 
-def _mode_option(f):
-    return click.option(
-        "--mode",
-        type=click.Choice(["repeats", "distinct"]),
-        default="repeats",
-        show_default=True,
-        help="Whether summands may repeat.",
-    )(f)
+def _usage_error(exc: Exception, command: str | None = None) -> click.UsageError:
+    """exc as a usage error; a missing parameter is named with its option."""
+    if isinstance(exc, MissingParameterError):
+        return click.UsageError(f"{command or exc.kind} requires parameter "
+                                f"{exc.name!r} ({_OPTIONS[exc.name][0]})")
+    return click.UsageError(str(exc))
 
 
 def _resolve_threads(threads: int | None) -> int:
@@ -104,7 +121,9 @@ def _export(records: list[SurveyRecord], fmt: str, out: Path | None) -> None:
 def _run_and_report(kind: str, options: dict) -> SurveyRecord:
     """Run one kind with its parameters taken from the click options of the
     same names, echo its summary line and export it to --out if given."""
-    params = {name: options.get(name) for name in CSV_FIELDS[kind][0]}
+    # a repeatable option given no value reads (), which counts as absent
+    params = {name: value for name in CSV_FIELDS[kind][0]
+              if (value := options.get(name)) != ()}
     cache_dir = options["cache_dir"]
     try:
         record, hit = run_experiment(
@@ -115,7 +134,7 @@ def _run_and_report(kind: str, options: dict) -> SurveyRecord:
             cache=None if cache_dir is None else ResultCache(cache_dir),
         )
     except (ValueError, TypeError) as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise _usage_error(exc) from exc
     click.echo(summary_line(record) + (" [cached]" if hit else ""))
     _export([record], options["fmt"], options["out"])
     return record
@@ -129,31 +148,24 @@ def cli() -> None:
 
 
 @cli.command()
-@click.option("--k", type=int, required=True, help="Order of the sequence.")
-@click.option("--n", "target", type=int, required=True, help="Integer to decompose.")
+@_options("k", "n", "h_max", "mode")
 @click.option(
     "--algorithm",
-    type=click.Choice(["greedy", "exact", "telescoping"]),
+    type=click.Choice(["greedy", "exact"]),
     default="greedy",
     show_default=True,
-    help="greedy: constructive route; exact: fewest terms up to --h-max; "
-    "telescoping: the order-3 constructive route explicitly.",
+    help="greedy: constructive route; exact: fewest terms up to --h-max.",
 )
-@click.option("--h-max", type=int, default=8, show_default=True,
-              help="Term budget for --algorithm exact.")
-@_mode_option
-@_output_options
-def decompose(k, target, algorithm, h_max, mode, fmt, out, cache_dir, threads):
+def decompose(algorithm, fmt, out, cache_dir, threads, **options):
     """Write N as a sum of values C(n, k)."""
-    if k < 1:
-        raise click.UsageError("--k must be >= 1")
-    if target < 1:
-        raise click.UsageError("--n must be >= 1")
+    try:
+        # the parameters of the exact search, checked as min-rep checks them
+        params = normalize_parameters("min-rep", options)
+    except ValueError as exc:
+        raise _usage_error(exc, "decompose") from exc
+    k, target, h_max, mode = (params[name] for name in ("k", "n", "h_max", "mode"))
     search_mode = SearchMode(mode)
     distinct_word = "distinct " if search_mode is SearchMode.DISTINCT else ""
-
-    if algorithm == "telescoping" and k != 3:
-        raise click.UsageError("--algorithm telescoping requires --k 3")
 
     if algorithm == "exact":
         rep = minimal_representation(target, k, h_max, search_mode)
@@ -219,11 +231,7 @@ def decompose(k, target, algorithm, h_max, mode, fmt, out, cache_dir, threads):
 
 
 @cli.command("min-rep")
-@click.option("--k", type=int, required=True)
-@click.option("--n", type=int, required=True, help="Target integer.")
-@click.option("--h-max", type=int, default=8, show_default=True)
-@_mode_option
-@_output_options
+@_options("k", "n", "h_max", "mode")
 def min_rep(**options):
     """Fewest summands for one target, or report that h-max is exceeded."""
     _run_and_report("min-rep", options)
@@ -231,63 +239,29 @@ def min_rep(**options):
 
 @cli.command()
 @click.option("--kind", type=click.Choice(EXPERIMENT_KINDS), required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--h", type=int, default=None)
-@click.option("--n", type=int, default=None)
-@click.option("--h-max", type=int, default=None)
-@click.option("--n-min", type=int, default=None)
-@click.option("--max", "n_max", type=int, default=None, help="Survey range end.")
-@click.option("--cap", type=int, default=None, help="Survey table term cap.")
-@click.option("--max-witnesses", type=int, default=None)
-@click.option("--index-bound", type=int, default=None)
-@click.option("--x", "bounds", type=int, multiple=True,
-              help="Value bound; repeat for exponent fits.")
-@click.option("--convention", type=click.Choice(["value", "index"]), default=None)
-@click.option("--c", type=str, default=None,
-              help="Per-term budget fraction, e.g. 1/2.")
-@click.option("--sequence", type=click.Choice(list(SEQUENCES)), default=None)
-@click.option("--top", type=int, default=None, help="Report the top-T multiplicities.")
-@click.option("--r-max", type=int, default=None)
-@click.option("--memory-budget", type=int, default=None,
-              help="Abort (exit 3) if the working set would exceed this many bytes.")
-@_mode_option
-@_output_options
-@click.pass_context
-def survey(ctx, kind, **options):
+# every parameter; --x arrives as the repeatable bounds and is split below
+@_options(*(name for name in _OPTIONS if name not in ("x", *_KNOBS)))
+def survey(kind, **options):
     """Run any experiment kind and export its record.
 
     Takes the kind's parameters and the output and execution options only;
     --x repeats only for exponent fits.
     """
-    accepted = {"kind", *CSV_FIELDS[kind][0], *_SURVEY_KNOBS}
+    accepted = {*CSV_FIELDS[kind][0], *_KNOBS, "memory_budget"}
     if "x" in accepted:
         if len(options["bounds"]) > 1:
             raise click.UsageError(f"--kind {kind} takes a single --x")
         accepted.add("bounds")
         options["x"] = options["bounds"][0] if options["bounds"] else None
-    foreign = [
-        param.opts[0]
-        for param in ctx.command.params
-        if param.name not in accepted
-        and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE
-    ]
+    foreign = [_OPTIONS[name][0] for name, value in options.items()
+               if name not in accepted and value not in (None, ())]
     if foreign:
         raise click.UsageError(f"--kind {kind} takes no {', '.join(foreign)}")
     _run_and_report(kind, options)
 
 
 @cli.command()
-@click.option("--k", type=int, required=True)
-@click.option("--h", type=int, required=True)
-@click.option("--index-bound", type=int, default=None)
-@click.option("--x", type=int, default=None)
-@click.option("--convention", type=click.Choice(["value", "index"]), default=None)
-@click.option("--c", type=str, default=None,
-              help="Run the restricted (per-term capped) variant; needs --x.")
-@click.option("--sequence", type=click.Choice(list(SEQUENCES)), default="binomial",
-              show_default=True)
-@click.option("--top", type=int, default=0, show_default=True)
-@_output_options
+@_options("k", "h", "index_bound", "x", "convention", "c", "sequence", "top")
 def energy(**options):
     """Multiplicity statistics for h-fold sums."""
     if options["c"] is None:
@@ -299,12 +273,7 @@ def energy(**options):
 
 
 @cli.command()
-@click.option("--k", type=int, default=2, show_default=True)
-@click.option("--r-max", type=int, required=True)
-@click.option("--memory-budget", type=int, default=None,
-              help="Abort (exit 3) if the working set would exceed this many bytes.")
-@_mode_option
-@_output_options
+@_options("k", "r_max", "memory_budget", "mode")
 def coverage(mode, **options):
     """Largest R <= r-max where [R/2, R] misses a two-triangular sum.
 
@@ -312,32 +281,24 @@ def coverage(mode, **options):
     the summary highlights.
     """
     record = _run_and_report("coverage-threshold", options)
-    key = "repeats_threshold" if mode == "repeats" else "distinct_threshold"
-    click.echo(f"{mode} threshold: {record.results[key]}")
+    shown = "distinct" if mode == "distinct" else "repeats"
+    click.echo(f"{shown} threshold: {record.results[shown + '_threshold']}")
 
 
 @cli.command()
-@click.option("--k", type=int, required=True)
-@click.option("--h", type=int, required=True)
-@click.option("--x", "bounds", type=int, multiple=True, required=True,
-              help="Value bounds; give at least three.")
-@click.option("--sequence", type=click.Choice(list(SEQUENCES)), default="binomial",
-              show_default=True)
-@_output_options
+@_options("k", "h", "bounds", "sequence")
 def fit(**options):
     """Fit the growth exponent of the h-fold energy across value bounds."""
     _run_and_report("exponent-fit", options)
 
 
 @cli.command()
-@click.option("--k", type=int, required=True)
-@click.option("--x", "bounds", type=int, multiple=True, required=True,
-              help="Value bound; may repeat for a multi-row table.")
-@_output_options
+@_options("k", "bounds")
 def table(bounds, **options):
     """Counts of sequence values up to X and their ratio to leading order."""
+    # no --x at all still runs once, so the missing x is reported
     records = [_run_and_report("asymptotic-ratio", dict(options, x=x, out=None))
-               for x in bounds]
+               for x in bounds or (None,)]
     _export(records, options["fmt"], options["out"])
 
 

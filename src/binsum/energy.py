@@ -87,6 +87,8 @@ _CERT_ROW = 1024
 _LIMB_BITS = 21
 
 STRATEGIES = ("auto", "direct", "mitm", "convolve")
+# how a bound X caps the indices: see index_bound_for
+CONVENTIONS = ("value", "index")
 
 
 def _resolve_sequence(
@@ -592,7 +594,7 @@ def index_bound_for(
         return _resolve_sequence(k, sequence).floor_index(bound)
     if convention == "index":
         return bound
-    raise ValueError(f"convention must be 'value' or 'index', got {convention!r}")
+    raise ValueError(f"convention must be in {CONVENTIONS}, got {convention!r}")
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,19 @@
 
 Each experiment kind is declared in two tables: ``records.CSV_FIELDS`` names
 its parameters and results, and ``KINDS`` holds, in the same order, its
-normalizer (rejects parameters outside the schema, fills defaults only for
-absent or None ones, validates, and fixes the key set so fingerprints are
-stable), its runner (a results dict with every schema field, None where not
-applicable) and its console summary. The CLI reads a kind's parameters from
-the options of the same names. Thread count and memory budget are
-execution knobs, not experiment parameters: they never enter the
-fingerprint because they never change the results.
+parameter defaults, its cross-parameter check, its runner (a results dict
+with every schema field, None where not applicable) and its console
+summary. Each parameter name has one conversion and one rule in ``_RULES``,
+whichever kind takes it.
+
+``normalize_parameters`` rejects names outside the schema, converts each
+parameter or fills its default where it is absent or None (not where it is
+0), names a missing required one, then runs the kind's check and the rule
+of each name. It fixes the key set so fingerprints are stable. The CLI
+reads a kind's parameters from the options of the same names and declares
+no defaults of its own. Thread count and memory budget are execution knobs,
+not experiment parameters: they never enter the fingerprint because they
+never change the results.
 """
 from __future__ import annotations
 
@@ -27,7 +33,6 @@ from .represent import SearchMode
 __all__ = ["run_experiment", "summary_line", "EXPERIMENT_KINDS"]
 
 _SEQUENCES = tuple(SEQUENCES)
-_CONVENTIONS = ("value", "index")
 
 
 @dataclass(frozen=True)
@@ -38,32 +43,42 @@ class ExecutionKnobs:
     memory_budget: int
 
 
+class MissingParameterError(ValueError):
+    """A required parameter is absent or None."""
+
+    def __init__(self, kind: str, name: str) -> None:
+        super().__init__(f"{kind} requires parameter {name!r}")
+        self.kind = kind
+        self.name = name
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
 
 
-def _get(params: dict[str, Any], name: str, default: Any) -> Any:
-    """params[name], or default where it is absent or None (not where it is 0)."""
-    value = params.get(name)
-    return default if value is None else value
-
-
-def _as_mode(value: Any) -> str:
-    return SearchMode.coerce(value).value
-
-
-def _normalize_min_rep(params: dict[str, Any]) -> dict[str, Any]:
-    out = {
-        "k": int(params["k"]),
-        "n": int(params["n"]),
-        "h_max": int(_get(params, "h_max", 8)),
-        "mode": _as_mode(_get(params, "mode", "repeats")),
-    }
-    _require(out["k"] >= 1, "k must be >= 1")
-    _require(out["n"] >= 1, "n must be >= 1")
-    _require(out["h_max"] >= 1, "h_max must be >= 1")
-    return out
+# parameter name -> (conversion, rule on the converted value or None, message
+# when the rule fails); the same for every kind that takes the name
+_RULES: dict[str, tuple[Callable[[Any], Any], Callable[[Any], bool] | None, str]] = {
+    "k": (int, lambda v: v >= 1, "k must be >= 1"),
+    "n": (int, lambda v: v >= 1, "n must be >= 1"),
+    "h": (int, lambda v: v >= 1, "h must be >= 1"),
+    "h_max": (int, lambda v: v >= 1, "h_max must be >= 1"),
+    "n_min": (int, lambda v: v >= 1, "need 1 <= n_min <= n_max"),
+    "n_max": (int, None, ""),
+    "mode": (lambda v: SearchMode.coerce(v).value, None, ""),
+    "cap": (int, lambda v: 1 <= v <= represent.CAP_MAX, "cap out of range"),
+    "max_witnesses": (int, lambda v: v >= 1, "max_witnesses must be >= 1"),
+    "index_bound": (int, None, ""),
+    "x": (int, lambda v: v >= 1, "x must be >= 1"),
+    "convention": (str, lambda v: v in energy_mod.CONVENTIONS,
+                   f"convention must be in {energy_mod.CONVENTIONS}"),
+    "sequence": (str, lambda v: v in _SEQUENCES, f"sequence must be one of {_SEQUENCES}"),
+    "top": (int, lambda v: v >= 0, "top must be >= 0"),
+    "c": (Fraction, lambda v: 0 < v < 1, "c must be a fraction in (0, 1)"),
+    "r_max": (int, lambda v: v >= 1, "r_max must be >= 1"),
+    "bounds": (lambda v: [int(b) for b in v], lambda v: len(v) >= 3, "need at least 3 bounds"),
+}
 
 
 def _run_min_rep(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
@@ -85,24 +100,10 @@ def _summarize_min_rep(p: dict, r: dict) -> str:
     return head + f"{r['terms']} terms, values {r['witness_values']}"
 
 
-def _normalize_survey(params: dict[str, Any]) -> dict[str, Any]:
-    mode = _as_mode(_get(params, "mode", "repeats"))
-    cap = params.get("cap")
-    if cap is None:
-        cap = represent.CAP_MAX if mode == "repeats" else 8
-    out = {
-        "k": int(params["k"]),
-        "n_min": int(_get(params, "n_min", 1)),
-        "n_max": int(params["n_max"]),
-        "mode": mode,
-        "cap": int(cap),
-        "max_witnesses": int(_get(params, "max_witnesses", 10)),
-    }
-    _require(out["k"] >= 1, "k must be >= 1")
-    _require(1 <= out["n_min"] <= out["n_max"], "need 1 <= n_min <= n_max")
-    _require(1 <= out["cap"] <= represent.CAP_MAX, "cap out of range")
-    _require(out["max_witnesses"] >= 1, "max_witnesses must be >= 1")
-    return out
+def _check_survey(p: dict[str, Any]) -> None:
+    if p["cap"] is None:
+        p["cap"] = represent.CAP_MAX if p["mode"] == "repeats" else 8
+    _require(p["n_min"] <= p["n_max"], "need 1 <= n_min <= n_max")
 
 
 def _run_survey(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
@@ -131,34 +132,13 @@ def _summarize_survey(p: dict, r: dict) -> str:
     )
 
 
-def _normalize_energy(params: dict[str, Any]) -> dict[str, Any]:
-    index_bound = params.get("index_bound")
-    x = params.get("x")
-    _require(
-        (index_bound is None) != (x is None),
-        "exactly one of index_bound and x is required",
-    )
-    convention = params.get("convention")
-    if x is not None:
-        convention = "value" if convention is None else convention
-        _require(convention in _CONVENTIONS, f"convention must be in {_CONVENTIONS}")
-    else:
-        _require(convention is None, "convention only applies with x")
-    sequence = _get(params, "sequence", "binomial")
-    _require(sequence in _SEQUENCES, f"sequence must be one of {_SEQUENCES}")
-    out = {
-        "k": int(params["k"]),
-        "h": int(params["h"]),
-        "index_bound": None if index_bound is None else int(index_bound),
-        "x": None if x is None else int(x),
-        "convention": convention,
-        "sequence": sequence,
-        "top": int(_get(params, "top", 0)),
-    }
-    _require(out["k"] >= 1, "k must be >= 1")
-    _require(out["h"] >= 1, "h must be >= 1")
-    _require(out["top"] >= 0, "top must be >= 0")
-    return out
+def _check_energy(p: dict[str, Any]) -> None:
+    _require((p["index_bound"] is None) != (p["x"] is None),
+             "exactly one of index_bound and x is required")
+    if p["x"] is None:
+        _require(p["convention"] is None, "convention only applies with x")
+    elif p["convention"] is None:
+        p["convention"] = "value"
 
 
 def _run_energy(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
@@ -201,23 +181,6 @@ def _summarize_energy(p: dict, r: dict) -> str:
     )
 
 
-def _normalize_restricted(params: dict[str, Any]) -> dict[str, Any]:
-    sequence = _get(params, "sequence", "binomial")
-    _require(sequence in _SEQUENCES, f"sequence must be one of {_SEQUENCES}")
-    out = {
-        "k": int(params["k"]),
-        "h": int(params["h"]),
-        "x": int(params["x"]),
-        "c": Fraction(_get(params, "c", Fraction(1, 2))),
-        "sequence": sequence,
-    }
-    _require(out["k"] >= 1, "k must be >= 1")
-    _require(out["h"] >= 1, "h must be >= 1")
-    _require(out["x"] >= 1, "x must be >= 1")
-    _require(0 < out["c"] < 1, "c must be a fraction in (0, 1)")
-    return out
-
-
 def _run_restricted(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
     spec = energy_mod.RestrictedTupleSpec(
         order=params["k"], arity=params["h"], budget=params["x"], fraction=params["c"]
@@ -250,11 +213,8 @@ def _summarize_restricted(p: dict, r: dict) -> str:
     )
 
 
-def _normalize_coverage(params: dict[str, Any]) -> dict[str, Any]:
-    out = {"k": int(_get(params, "k", 2)), "r_max": int(params["r_max"])}
-    _require(out["k"] == 2, "coverage threshold is defined for k=2 only")
-    _require(out["r_max"] >= 1, "r_max must be >= 1")
-    return out
+def _check_coverage(p: dict[str, Any]) -> None:
+    _require(p["k"] == 2, "coverage threshold is defined for k=2 only")
 
 
 def _run_coverage(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
@@ -275,24 +235,9 @@ def _summarize_coverage(p: dict, r: dict) -> str:
     )
 
 
-def _normalize_fit(params: dict[str, Any]) -> dict[str, Any]:
-    bounds = [int(b) for b in params["bounds"]]
-    sequence = _get(params, "sequence", "binomial")
-    _require(sequence in _SEQUENCES, f"sequence must be one of {_SEQUENCES}")
-    out = {
-        "k": int(params["k"]),
-        "h": int(params["h"]),
-        "bounds": bounds,
-        "sequence": sequence,
-    }
-    _require(out["k"] >= 1, "k must be >= 1")
-    _require(out["h"] >= 1, "h must be >= 1")
-    _require(len(bounds) >= 3, "need at least 3 bounds")
-    _require(
-        all(b2 > b1 for b1, b2 in zip(bounds, bounds[1:])),
-        "bounds must be strictly increasing",
-    )
-    return out
+def _check_fit(p: dict[str, Any]) -> None:
+    b = p["bounds"]
+    _require(all(b2 > b1 for b1, b2 in zip(b, b[1:])), "bounds must be strictly increasing")
 
 
 def _run_fit(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
@@ -322,13 +267,6 @@ def _summarize_fit(p: dict, r: dict) -> str:
     )
 
 
-def _normalize_ratio(params: dict[str, Any]) -> dict[str, Any]:
-    out = {"k": int(params["k"]), "x": int(params["x"])}
-    _require(out["k"] >= 1, "k must be >= 1")
-    _require(out["x"] >= 1, "x must be >= 1")
-    return out
-
-
 def _run_ratio(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
     k, x = params["k"], params["x"]
     return {
@@ -343,37 +281,57 @@ def _summarize_ratio(p: dict, r: dict) -> str:
 
 
 class Kind(NamedTuple):
-    """The three functions of one experiment kind; its schema is in CSV_FIELDS."""
+    """One experiment kind; its schema is in CSV_FIELDS. A parameter without
+    a default is required; check sees the converted parameters and may fill
+    a None default from the others."""
 
-    normalize: Callable[[dict[str, Any]], dict[str, Any]]
+    defaults: dict[str, Any]
     run: Callable[[dict[str, Any], ExecutionKnobs], dict[str, Any]]
     summarize: Callable[[dict[str, Any], dict[str, Any]], str]
+    check: Callable[[dict[str, Any]], None] | None = None
 
 
 KINDS: dict[str, Kind] = {
-    "min-rep": Kind(_normalize_min_rep, _run_min_rep, _summarize_min_rep),
-    "survey-H": Kind(_normalize_survey, _run_survey, _summarize_survey),
-    "energy": Kind(_normalize_energy, _run_energy, _summarize_energy),
-    "restricted-sums": Kind(_normalize_restricted, _run_restricted, _summarize_restricted),
-    "coverage-threshold": Kind(_normalize_coverage, _run_coverage, _summarize_coverage),
-    "exponent-fit": Kind(_normalize_fit, _run_fit, _summarize_fit),
-    "asymptotic-ratio": Kind(_normalize_ratio, _run_ratio, _summarize_ratio),
+    "min-rep": Kind({"h_max": 8, "mode": "repeats"}, _run_min_rep, _summarize_min_rep),
+    "survey-H": Kind({"n_min": 1, "mode": "repeats", "cap": None, "max_witnesses": 10},
+                     _run_survey, _summarize_survey, _check_survey),
+    "energy": Kind({"index_bound": None, "x": None, "convention": None,
+                    "sequence": "binomial", "top": 0},
+                   _run_energy, _summarize_energy, _check_energy),
+    "restricted-sums": Kind({"c": Fraction(1, 2), "sequence": "binomial"},
+                            _run_restricted, _summarize_restricted),
+    "coverage-threshold": Kind({"k": 2}, _run_coverage, _summarize_coverage,
+                               _check_coverage),
+    "exponent-fit": Kind({"sequence": "binomial"}, _run_fit, _summarize_fit, _check_fit),
+    "asymptotic-ratio": Kind({}, _run_ratio, _summarize_ratio),
 }
 assert tuple(KINDS) == EXPERIMENT_KINDS, "KINDS and CSV_FIELDS list different kinds"
 
 
 def normalize_parameters(kind: str, params: dict[str, Any]) -> dict[str, Any]:
+    """The kind's parameters in schema order, converted, defaulted and
+    checked; a None value counts as absent, as the CLI passes absent options."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {kind!r}")
     names = CSV_FIELDS[kind][0]
     unknown = sorted(set(params) - set(names))
     if unknown:
         raise ValueError(f"{kind} takes no parameter {unknown}; it takes {list(names)}")
-    try:
-        # a None value counts as absent, as the CLI passes absent options
-        return KINDS[kind].normalize({n: v for n, v in params.items() if v is not None})
-    except KeyError as exc:
-        raise ValueError(f"{kind} requires parameter {exc.args[0]!r}") from None
+    spec = KINDS[kind]
+    out = {}
+    for name in names:
+        value = params.get(name)
+        if value is None:
+            if name not in spec.defaults:
+                raise MissingParameterError(kind, name)
+            value = spec.defaults[name]
+        out[name] = None if value is None else _RULES[name][0](value)
+    if spec.check is not None:
+        spec.check(out)
+    for name, value in out.items():
+        _, rule, message = _RULES[name]
+        _require(value is None or rule is None or rule(value), message)
+    return out
 
 
 def run_experiment(

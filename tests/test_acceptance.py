@@ -121,7 +121,7 @@ def _half_sum_pair_count(values, h):
     sums = np.asarray(values, dtype=np.int64)
     for _ in range(h - 1):
         sums = (sums[:, None] + np.asarray(values, dtype=np.int64)[None, :]).ravel()
-    sums.sort(kind="stable")
+    sums.sort()
     boundaries = np.flatnonzero(np.diff(sums)) + 1
     runs = np.diff(np.r_[0, boundaries, sums.size])
     return int(np.sum(runs.astype(np.int64) ** 2)), sums

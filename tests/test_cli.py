@@ -36,11 +36,6 @@ class TestDecompose:
         assert "no representation" in proc.stderr
         assert "distinct" in proc.stderr
 
-    def test_telescoping_requires_order_three(self):
-        proc = run_cli("decompose", "--k", "2", "--n", "10",
-                       "--algorithm", "telescoping")
-        assert proc.returncode == 1
-
     def test_greedy_high_order(self):
         proc = run_cli("decompose", "--k", "5", "--n", "1000000")
         assert proc.returncode == 0
@@ -91,35 +86,46 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "Error: k must be >= 1" in proc.stderr
         assert "Traceback" not in proc.stderr
+        proc = run_cli("decompose", "--k", "3", "--n", "17", "--algorithm", "exact",
+                       "--h-max", "0")
+        assert proc.returncode == 1
+        assert "Error: h_max must be >= 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestExplicitZeros:
     """An explicit 0 is validated, never replaced by the default. Usage
-    errors also name a missing required parameter, and survey refuses the
-    options that its kind does not take."""
+    errors also name a missing required parameter with its option, and
+    survey refuses the options that its kind does not take."""
 
     @pytest.mark.parametrize("argv, message", [
         (["min-rep", "--k", "3", "--n", "17", "--h-max", "0"], "h_max must be >= 1"),
+        (["decompose", "--k", "3", "--n", "17", "--algorithm", "exact", "--h-max", "0"],
+         "h_max must be >= 1"),
         (["survey", "--kind", "survey-H", "--k", "3", "--max", "100",
           "--max-witnesses", "0"], "max_witnesses must be >= 1"),
         (["survey", "--kind", "survey-H", "--k", "3", "--max", "100", "--n-min", "0"],
          "need 1 <= n_min <= n_max"),
         (["survey", "--kind", "coverage-threshold", "--k", "0", "--r-max", "10"],
          "coverage threshold is defined for k=2 only"),
-        (["survey", "--kind", "min-rep", "--k", "3"], "min-rep requires parameter 'n'"),
-        (["survey", "--kind", "survey-H", "--k", "3"], "survey-H requires parameter 'n_max'"),
+        (["survey", "--kind", "min-rep", "--k", "3"], "min-rep requires parameter 'n' (--n)"),
+        (["min-rep", "--k", "2"], "min-rep requires parameter 'n' (--n)"),
+        (["survey", "--kind", "survey-H", "--k", "3"],
+         "survey-H requires parameter 'n_max' (--max)"),
         (["survey", "--kind", "restricted-sums", "--k", "2", "--h", "2"],
          "restricted-sums requires parameter 'x'"),
         (["survey", "--kind", "asymptotic-ratio", "--k", "3"],
          "asymptotic-ratio requires parameter 'x'"),
+        (["fit", "--k", "2", "--h", "2"], "exponent-fit requires parameter 'bounds' (--x)"),
         (["survey", "--kind", "energy", "--k", "2", "--h", "2", "--x", "300", "--x", "600"],
          "--kind energy takes a single --x"),
         (["survey", "--kind", "asymptotic-ratio", "--k", "3", "--x", "10", "--top", "4",
           "--r-max", "9"], "--kind asymptotic-ratio takes no --top, --r-max"),
         (["survey", "--kind", "energy", "--k", "2", "--h", "2", "--x", "300",
           "--mode", "distinct"], "--kind energy takes no --mode"),
-    ], ids=["min-rep-h-max", "survey-H-max-witnesses", "survey-H-n-min", "coverage-k",
-            "min-rep-no-n", "survey-H-no-max", "restricted-sums-no-x", "ratio-no-x",
+    ], ids=["min-rep-h-max", "decompose-exact-h-max", "survey-H-max-witnesses",
+            "survey-H-n-min", "coverage-k", "min-rep-no-n", "min-rep-command-no-n",
+            "survey-H-no-max", "restricted-sums-no-x", "ratio-no-x", "fit-no-x",
             "energy-repeated-x", "ratio-foreign-options", "energy-mode"])
     def test_zero_is_rejected(self, argv, message, capsys):
         assert main(argv) == 1
