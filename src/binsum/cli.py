@@ -23,10 +23,9 @@ from .records import (
     CSV_FIELDS,
     EXPERIMENT_KINDS,
     SurveyRecord,
-    _atomic_write_text,
+    dump_payload,
     dump_records_csv,
     dump_records_json,
-    encode_value,
 )
 from .represent import (
     Representation,
@@ -42,7 +41,8 @@ CACHE_ENV_VAR = "BINSUM_CACHE_DIR"
 # Every option once: parameter name -> (flag, click attributes). Experiment
 # parameters declare no default: an absent option reads None (or () where it
 # repeats), so the normalizers in experiments.py fill every default, for
-# both front doors alike.
+# both front doors alike. --x repeats; _run_and_report hands it to a kind as
+# its bounds or as its single x.
 _OPTIONS: dict[str, tuple[str, dict]] = {
     "k": ("--k", dict(type=int, help="Order of the sequence.")),
     "h": ("--h", dict(type=int, help="Summands per sum.")),
@@ -53,9 +53,8 @@ _OPTIONS: dict[str, tuple[str, dict]] = {
     "cap": ("--cap", dict(type=int, help="Survey table term cap.")),
     "max_witnesses": ("--max-witnesses", dict(type=int)),
     "index_bound": ("--index-bound", dict(type=int)),
-    "x": ("--x", dict(type=int, help="Value bound.")),
-    "bounds": ("--x", dict(type=int, multiple=True,
-                           help="Value bound; repeat for a fit or a multi-row table.")),
+    "x": ("--x", dict(type=int, multiple=True,
+                      help="Value bound; repeat for a fit or a multi-row table.")),
     "convention": ("--convention", dict(type=click.Choice(CONVENTIONS))),
     "c": ("--c", dict(type=str, help="Per-term budget fraction, e.g. 1/2 "
                                      "(energy: runs the restricted variant; needs --x).")),
@@ -95,8 +94,9 @@ def _options(*names: str):
 def _usage_error(exc: Exception, command: str | None = None) -> click.UsageError:
     """exc as a usage error; a missing parameter is named with its option."""
     if isinstance(exc, MissingParameterError):
+        flag = _OPTIONS["x" if exc.name == "bounds" else exc.name][0]
         return click.UsageError(f"{command or exc.kind} requires parameter "
-                                f"{exc.name!r} ({_OPTIONS[exc.name][0]})")
+                                f"{exc.name!r} ({flag})")
     return click.UsageError(str(exc))
 
 
@@ -118,12 +118,28 @@ def _export(records: list[SurveyRecord], fmt: str, out: Path | None) -> None:
     click.echo(f"wrote {out}")
 
 
-def _run_and_report(kind: str, options: dict) -> SurveyRecord:
+def _run_and_report(kind: str, options: dict, command: str) -> SurveyRecord:
     """Run one kind with its parameters taken from the click options of the
-    same names, echo its summary line and export it to --out if given."""
-    # a repeatable option given no value reads (), which counts as absent
-    params = {name: value for name in CSV_FIELDS[kind][0]
-              if (value := options.get(name)) != ()}
+    same names, echo its summary line and export it to --out if given.
+
+    The given options are admitted first: --x becomes the kind's bounds or
+    its single x, and an option the kind does not take is refused, in
+    messages that name command.
+    """
+    names = CSV_FIELDS[kind][0]
+    # an absent option reads None, or () where it repeats
+    given = {name: value for name, value in options.items() if value not in (None, ())}
+    if "bounds" in names and "x" in given:
+        given["bounds"] = given.pop("x")
+    elif "x" in names and "x" in given:
+        if len(given["x"]) > 1:
+            raise click.UsageError(f"{command} takes a single --x")
+        given["x"] = given["x"][0]
+    foreign = [_OPTIONS[name][0] for name in given
+               if name not in (*names, *_KNOBS, "memory_budget")]
+    if foreign:
+        raise click.UsageError(f"{command} takes no {', '.join(foreign)}")
+    params = {name: given[name] for name in names if name in given}
     cache_dir = options["cache_dir"]
     try:
         record, hit = run_experiment(
@@ -170,9 +186,6 @@ def decompose(algorithm, fmt, out, cache_dir, threads, **options):
     if algorithm == "exact":
         rep = minimal_representation(target, k, h_max, search_mode)
         cap_text = f"{h_max} {distinct_word}terms"
-    elif k == 1:
-        rep = Representation(target, 1, (target,))
-        cap_text = "1 term"
     elif k == 2:
         rep = decompose_k2(target, search_mode)
         cap_text = f"3 {distinct_word}terms"
@@ -183,7 +196,7 @@ def decompose(algorithm, fmt, out, cache_dir, threads, **options):
             rep = decompose_k3(target)
         cap_text = f"7 {distinct_word}terms"
     else:
-        if search_mode is SearchMode.DISTINCT:
+        if search_mode is SearchMode.DISTINCT and k > 1:
             raise click.UsageError(
                 "distinct-mode greedy is only defined for k in {1, 2, 3}; "
                 "use --algorithm exact"
@@ -200,7 +213,7 @@ def decompose(algorithm, fmt, out, cache_dir, threads, **options):
     click.echo(f"{target} = " + " + ".join(str(v) for v in rep.values))
     click.echo(f"indices (n, descending): {list(rep.indices)}")
     if out is not None:
-        payload = {
+        dump_payload({
             "k": k,
             "n": target,
             "algorithm": algorithm,
@@ -209,24 +222,7 @@ def decompose(algorithm, fmt, out, cache_dir, threads, **options):
             "values": list(rep.values),
             "terms": len(rep),
             "distinct": rep.distinct,
-        }
-        if fmt == "csv":
-            import csv
-            import io
-
-            from .records import _cell
-
-            buffer = io.StringIO()
-            writer = csv.writer(buffer)
-            writer.writerow(list(payload))
-            writer.writerow([_cell(encode_value(value)) for value in payload.values()])
-            _atomic_write_text(out, buffer.getvalue())
-        else:
-            import json
-
-            _atomic_write_text(
-                out, json.dumps(encode_value(payload), indent=2, sort_keys=True) + "\n"
-            )
+        }, out, fmt)
         click.echo(f"wrote {out}")
 
 
@@ -234,30 +230,19 @@ def decompose(algorithm, fmt, out, cache_dir, threads, **options):
 @_options("k", "n", "h_max", "mode")
 def min_rep(**options):
     """Fewest summands for one target, or report that h-max is exceeded."""
-    _run_and_report("min-rep", options)
+    _run_and_report("min-rep", options, "min-rep")
 
 
 @cli.command()
 @click.option("--kind", type=click.Choice(EXPERIMENT_KINDS), required=True)
-# every parameter; --x arrives as the repeatable bounds and is split below
-@_options(*(name for name in _OPTIONS if name not in ("x", *_KNOBS)))
+@_options(*(name for name in _OPTIONS if name not in _KNOBS))
 def survey(kind, **options):
     """Run any experiment kind and export its record.
 
     Takes the kind's parameters and the output and execution options only;
     --x repeats only for exponent fits.
     """
-    accepted = {*CSV_FIELDS[kind][0], *_KNOBS, "memory_budget"}
-    if "x" in accepted:
-        if len(options["bounds"]) > 1:
-            raise click.UsageError(f"--kind {kind} takes a single --x")
-        accepted.add("bounds")
-        options["x"] = options["bounds"][0] if options["bounds"] else None
-    foreign = [_OPTIONS[name][0] for name, value in options.items()
-               if name not in accepted and value not in (None, ())]
-    if foreign:
-        raise click.UsageError(f"--kind {kind} takes no {', '.join(foreign)}")
-    _run_and_report(kind, options)
+    _run_and_report(kind, options, f"--kind {kind}")
 
 
 @cli.command()
@@ -265,11 +250,9 @@ def survey(kind, **options):
 def energy(**options):
     """Multiplicity statistics for h-fold sums."""
     if options["c"] is None:
-        _run_and_report("energy", options)
-    elif options["x"] is None:
-        raise click.UsageError("--c needs --x (the sum budget)")
+        _run_and_report("energy", options, "energy")
     else:
-        _run_and_report("restricted-sums", options)
+        _run_and_report("restricted-sums", options, "energy --c")
 
 
 @cli.command()
@@ -280,25 +263,25 @@ def coverage(mode, **options):
     Both admission modes are computed and recorded; --mode picks which one
     the summary highlights.
     """
-    record = _run_and_report("coverage-threshold", options)
+    record = _run_and_report("coverage-threshold", options, "coverage")
     shown = "distinct" if mode == "distinct" else "repeats"
     click.echo(f"{shown} threshold: {record.results[shown + '_threshold']}")
 
 
 @cli.command()
-@_options("k", "h", "bounds", "sequence")
+@_options("k", "h", "x", "sequence")
 def fit(**options):
     """Fit the growth exponent of the h-fold energy across value bounds."""
-    _run_and_report("exponent-fit", options)
+    _run_and_report("exponent-fit", options, "fit")
 
 
 @cli.command()
-@_options("k", "bounds")
-def table(bounds, **options):
+@_options("k", "x")
+def table(x, **options):
     """Counts of sequence values up to X and their ratio to leading order."""
-    # no --x at all still runs once, so the missing x is reported
-    records = [_run_and_report("asymptotic-ratio", dict(options, x=x, out=None))
-               for x in bounds or (None,)]
+    # one row per --x; none at all still runs once, so the missing x is reported
+    records = [_run_and_report("asymptotic-ratio", dict(options, x=xs, out=None), "table")
+               for xs in [(value,) for value in x] or [()]]
     _export(records, options["fmt"], options["out"])
 
 

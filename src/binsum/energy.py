@@ -514,7 +514,6 @@ class EnergyReport:
     order: int
     arity: int
     index_bound: int
-    value_bound: int | None
     sequence: str
     admissible_count: int
     total_tuples: int
@@ -537,7 +536,6 @@ def _report_and_extremes(
     top: int,
     *,
     sequence: IncreasingSequence | str | None = None,
-    value_bound: int | None = None,
     threads: int = 1,
 ) -> tuple[EnergyReport, list[tuple[int, int]]]:
     """energy_report and the top multiplicity_extremes (none for top=0),
@@ -552,7 +550,6 @@ def _report_and_extremes(
         order=k,
         arity=h,
         index_bound=index_bound,
-        value_bound=value_bound,
         sequence=seq.kind,
         admissible_count=len(values),
         total_tuples=total,
@@ -570,13 +567,10 @@ def energy_report(
     index_bound: int,
     *,
     sequence: IncreasingSequence | str | None = None,
-    value_bound: int | None = None,
     threads: int = 1,
 ) -> EnergyReport:
     """Exact multiplicity aggregates for h-fold sums up to index_bound."""
-    report, _ = _report_and_extremes(
-        k, h, index_bound, 0, sequence=sequence, value_bound=value_bound, threads=threads
-    )
+    report, _ = _report_and_extremes(k, h, index_bound, 0, sequence=sequence, threads=threads)
     return report
 
 
@@ -677,8 +671,7 @@ def restricted_distinct_sums(
         spec.fraction.numerator * spec.budget // spec.fraction.denominator
     ) <= spec.budget
     report, _ = _report_and_extremes(
-        spec.order, spec.arity, max_index, 0, sequence=seq, value_bound=spec.budget,
-        threads=threads,
+        spec.order, spec.arity, max_index, 0, sequence=seq, threads=threads
     )
     count = report.admissible_count
     return RestrictedReport(
@@ -732,9 +725,7 @@ def fit_energy_exponent(
     seq = _resolve_sequence(k, sequence)
     observations = []
     for bound in bounds:
-        report = energy_report(
-            k, h, seq.floor_index(bound), sequence=seq, value_bound=bound, threads=threads
-        )
+        report = energy_report(k, h, seq.floor_index(bound), sequence=seq, threads=threads)
         observations.append((bound, report.energy))
     x = np.log([float(b) for b, _ in observations])
     y = np.log([float(e) for _, e in observations])

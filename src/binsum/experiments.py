@@ -144,20 +144,16 @@ def _check_energy(p: dict[str, Any]) -> None:
 def _run_energy(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
     if params["index_bound"] is not None:
         bound = params["index_bound"]
-        value_bound = None
     else:
         bound = energy_mod.index_bound_for(
             params["k"], params["x"], params["convention"], sequence=params["sequence"]
         )
-        # only the value convention actually caps the values
-        value_bound = params["x"] if params["convention"] == "value" else None
     report, extremes = energy_mod._report_and_extremes(
         params["k"],
         params["h"],
         bound,
         params["top"],
         sequence=params["sequence"],
-        value_bound=value_bound,
         threads=knobs.threads,
     )
     return {

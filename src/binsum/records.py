@@ -22,7 +22,7 @@ import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from ._version import __version__
 
@@ -146,14 +146,17 @@ def _atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def _json_text(encoded: Any) -> str:
+    return json.dumps(encoded, indent=2, sort_keys=True) + "\n"
+
+
 def records_to_json(records: list[SurveyRecord]) -> str:
     """One record as an object, several as an array."""
-    payload: Any = (
+    return _json_text(
         records[0].to_payload()
         if len(records) == 1
         else [r.to_payload() for r in records]
     )
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def records_from_json(text: str) -> list[SurveyRecord]:
@@ -288,14 +291,20 @@ def records_to_csv(records: list[SurveyRecord]) -> str:
         + [f"param:{name}" for name in param_names]
         + [f"result:{name}" for name in result_names]
     )
+    return _csv_text(header, (
+        [record.kind, record.tool_version]
+        + [record.parameters.get(n) for n in param_names]
+        + [record.results.get(n) for n in result_names]
+        for record in records
+    ))
+
+
+def _csv_text(header: list[str], rows: Iterable[list[Any]]) -> str:
+    """The header line, then one line per row of unencoded values."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(header)
-    for record in records:
-        row = [record.kind, record.tool_version]
-        row += [_cell(encode_value(record.parameters.get(n))) for n in param_names]
-        row += [_cell(encode_value(record.results.get(n))) for n in result_names]
-        writer.writerow(row)
+    writer.writerows([_cell(encode_value(value)) for value in row] for row in rows)
     return buffer.getvalue()
 
 
@@ -340,3 +349,13 @@ def dump_records_csv(records: list[SurveyRecord], path: Path) -> None:
 
 def load_records_csv(path: Path) -> list[SurveyRecord]:
     return records_from_csv(Path(path).read_text(encoding="utf-8"))
+
+
+def dump_payload(payload: dict[str, Any], path: Path, fmt: str) -> None:
+    """Write one flat object that is not a record: a JSON object, or a CSV
+    header of its keys and one row of its values."""
+    if fmt == "csv":
+        text = _csv_text(list(payload), [list(payload.values())])
+    else:
+        text = _json_text(encode_value(payload))
+    _atomic_write_text(Path(path), text)

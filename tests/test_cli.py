@@ -40,6 +40,10 @@ class TestDecompose:
         proc = run_cli("decompose", "--k", "5", "--n", "1000000")
         assert proc.returncode == 0
         assert "1000000 =" in proc.stdout
+        # order 1 takes the greedy chain too, a single term even in distinct mode
+        proc = run_cli("decompose", "--k", "1", "--n", "7", "--mode", "distinct")
+        assert proc.returncode == 0
+        assert "indices (n, descending): [7]" in proc.stdout
 
     def test_json_export(self, tmp_path):
         out = tmp_path / "rep.json"
@@ -96,7 +100,7 @@ class TestExitCodes:
 class TestExplicitZeros:
     """An explicit 0 is validated, never replaced by the default. Usage
     errors also name a missing required parameter with its option, and
-    survey refuses the options that its kind does not take."""
+    every command refuses the options that its kind does not take."""
 
     @pytest.mark.parametrize("argv, message", [
         (["min-rep", "--k", "3", "--n", "17", "--h-max", "0"], "h_max must be >= 1"),
@@ -123,10 +127,16 @@ class TestExplicitZeros:
           "--r-max", "9"], "--kind asymptotic-ratio takes no --top, --r-max"),
         (["survey", "--kind", "energy", "--k", "2", "--h", "2", "--x", "300",
           "--mode", "distinct"], "--kind energy takes no --mode"),
+        (["energy", "--k", "2", "--h", "2", "--x", "100", "--c", "1/2", "--top", "5",
+          "--index-bound", "9", "--convention", "index"],
+         "energy --c takes no --top, --index-bound, --convention"),
+        (["energy", "--k", "2", "--h", "2", "--x", "300", "--x", "600"],
+         "energy takes a single --x"),
     ], ids=["min-rep-h-max", "decompose-exact-h-max", "survey-H-max-witnesses",
             "survey-H-n-min", "coverage-k", "min-rep-no-n", "min-rep-command-no-n",
             "survey-H-no-max", "restricted-sums-no-x", "ratio-no-x", "fit-no-x",
-            "energy-repeated-x", "ratio-foreign-options", "energy-mode"])
+            "energy-repeated-x", "ratio-foreign-options", "energy-mode",
+            "energy-command-c-foreign-options", "energy-command-repeated-x"])
     def test_zero_is_rejected(self, argv, message, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()

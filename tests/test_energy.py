@@ -202,7 +202,7 @@ class TestEnergyReport:
     def test_report_asserts_consistency(self):
         with pytest.raises(AssertionError):
             EnergyReport(
-                order=2, arity=2, index_bound=4, value_bound=None,
+                order=2, arity=2, index_bound=4,
                 sequence="binomial", admissible_count=3, total_tuples=9,
                 energy=8,  # impossible: below total
                 distinct_sums=6, max_multiplicity=2, cs_lower_bound=6,
