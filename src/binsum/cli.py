@@ -17,8 +17,8 @@ from .binom import SEQUENCES
 from .cache import ResultCache
 from .energy import CONVENTIONS
 from .errors import NoRepresentationError, ResourceBudgetError
-from .experiments import (MissingParameterError, normalize_parameters, run_experiment,
-                          summary_line)
+from .experiments import (KINDS, MissingParameterError, normalize_parameters,
+                          run_experiment, summary_line)
 from .records import (
     CSV_FIELDS,
     EXPERIMENT_KINDS,
@@ -124,9 +124,10 @@ def _run_and_report(kind: str, options: dict, command: str) -> SurveyRecord:
 
     The given options are admitted first: --x becomes the kind's bounds or
     its single x, and an option the kind does not take is refused, in
-    messages that name command.
+    messages that name command; only budgeted kinds take --memory-budget.
     """
     names = CSV_FIELDS[kind][0]
+    knobs = (*_KNOBS, "memory_budget") if KINDS[kind].budgeted else _KNOBS
     # an absent option reads None, or () where it repeats
     given = {name: value for name, value in options.items() if value not in (None, ())}
     if "bounds" in names and "x" in given:
@@ -135,8 +136,7 @@ def _run_and_report(kind: str, options: dict, command: str) -> SurveyRecord:
         if len(given["x"]) > 1:
             raise click.UsageError(f"{command} takes a single --x")
         given["x"] = given["x"][0]
-    foreign = [_OPTIONS[name][0] for name in given
-               if name not in (*names, *_KNOBS, "memory_budget")]
+    foreign = [_OPTIONS[name][0] for name in given if name not in (*names, *knobs)]
     if foreign:
         raise click.UsageError(f"{command} takes no {', '.join(foreign)}")
     params = {name: given[name] for name in names if name in given}

@@ -14,7 +14,8 @@ of each name. It fixes the key set so fingerprints are stable. The CLI
 reads a kind's parameters from the options of the same names and declares
 no defaults of its own. Thread count and memory budget are execution knobs,
 not experiment parameters: they never enter the fingerprint because they
-never change the results.
+never change the results. Only the kinds marked ``budgeted`` read a memory
+budget; the others refuse one.
 """
 from __future__ import annotations
 
@@ -279,25 +280,27 @@ def _summarize_ratio(p: dict, r: dict) -> str:
 class Kind(NamedTuple):
     """One experiment kind; its schema is in CSV_FIELDS. A parameter without
     a default is required; check sees the converted parameters and may fill
-    a None default from the others."""
+    a None default from the others. budgeted kinds run under the memory
+    budget knob."""
 
     defaults: dict[str, Any]
     run: Callable[[dict[str, Any], ExecutionKnobs], dict[str, Any]]
     summarize: Callable[[dict[str, Any], dict[str, Any]], str]
     check: Callable[[dict[str, Any]], None] | None = None
+    budgeted: bool = False
 
 
 KINDS: dict[str, Kind] = {
     "min-rep": Kind({"h_max": 8, "mode": "repeats"}, _run_min_rep, _summarize_min_rep),
     "survey-H": Kind({"n_min": 1, "mode": "repeats", "cap": None, "max_witnesses": 10},
-                     _run_survey, _summarize_survey, _check_survey),
+                     _run_survey, _summarize_survey, _check_survey, budgeted=True),
     "energy": Kind({"index_bound": None, "x": None, "convention": None,
                     "sequence": "binomial", "top": 0},
                    _run_energy, _summarize_energy, _check_energy),
     "restricted-sums": Kind({"c": Fraction(1, 2), "sequence": "binomial"},
                             _run_restricted, _summarize_restricted),
     "coverage-threshold": Kind({"k": 2}, _run_coverage, _summarize_coverage,
-                               _check_coverage),
+                               _check_coverage, budgeted=True),
     "exponent-fit": Kind({"sequence": "binomial"}, _run_fit, _summarize_fit, _check_fit),
     "asymptotic-ratio": Kind({}, _run_ratio, _summarize_ratio),
 }
@@ -343,9 +346,12 @@ def run_experiment(
     Returns (record, cache_hit). The fingerprint covers kind and normalized
     parameters only, so equivalent requests share a cache entry no matter
     how they are threaded or budgeted. memory_budget None means
-    represent.DEFAULT_MEMORY_BUDGET.
+    represent.DEFAULT_MEMORY_BUDGET; a kind that is not budgeted refuses
+    any other value.
     """
     normalized = normalize_parameters(kind, params)
+    if memory_budget is not None and not KINDS[kind].budgeted:
+        raise ValueError(f"{kind} takes no memory_budget")
     if cache is not None:
         hit = cache.lookup(fingerprint(kind, normalized))
         if hit is not None:

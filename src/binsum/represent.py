@@ -17,9 +17,14 @@ The range oracles (min_rep_table and the coverage scan) hold every set of
 reachable targets as packed little-endian uint64 words, bit j for target j;
 only the per-target counts are uint8. Shifting a set by a coin v becomes a
 byte offset of v // 8 applied to one of eight copies of the set pre-shifted
-by 0..7 bits, so one OR covers eight targets per byte. The repeats table
-stops a layer, exactly, as soon as every target is reached. Working-memory
-estimates count the bytes of these arrays and their temporaries.
+by 0..7 bits, so one OR covers eight targets per byte. One kernel,
+_next_layer, does every such OR. The layer of sums of at most two coins
+needs only the window [v, 2v] from coin v, since a pair's larger coin is
+one of its terms; later layers shift over the whole range and stop, exactly,
+as soon as every target is reached. The repeats table grows its layers
+with it, and the coverage scan is one layer-2 call whose highest zero bit
+is the answer. Working-memory estimates count the bytes of these arrays
+and their temporaries.
 """
 from __future__ import annotations
 
@@ -59,8 +64,8 @@ CAP_MAX = 254
 DEFAULT_MEMORY_BUDGET = 4 * 1024**3
 
 # Working-memory estimates add Python objects per coin (the coin list and
-# the repeats build's (byte, bit) offsets) and per call (array headers,
-# views and other small objects) to the arrays.
+# the layer-2 windows' byte offsets) and per call (array headers, views and
+# other small objects) to the arrays.
 _COIN_BYTES = 160
 _CALL_BYTES = 16 * 1024
 
@@ -382,23 +387,20 @@ def decompose_k3(target: int) -> Representation | None:
 class MinRepTable:
     """Dense minimal-summand counts for every target in [0, range_end].
 
-    counts is a uint8 array indexed by target - range_start; cells holding
-    EXCEEDS_CAP mean "no representation within cap terms".
+    counts is a uint8 array indexed by target; cells holding EXCEEDS_CAP
+    mean "no representation within cap terms".
     """
 
     order: int
-    range_start: int
     range_end: int
     cap: int
     mode: SearchMode
     counts: np.ndarray
 
     def count(self, target: int) -> int | None:
-        if not (self.range_start <= target <= self.range_end):
-            raise ValueError(
-                f"target {target} outside [{self.range_start}, {self.range_end}]"
-            )
-        c = int(self.counts[target - self.range_start])
+        if not (0 <= target <= self.range_end):
+            raise ValueError(f"target {target} outside [0, {self.range_end}]")
+        c = int(self.counts[target])
         return None if c == EXCEEDS_CAP else c
 
 
@@ -443,26 +445,42 @@ def _bit_phases(padded: np.ndarray) -> np.ndarray:
     return phases.view(np.uint8)
 
 
-def _next_layer(padded: np.ndarray, shifts: list[tuple[int, int]]) -> np.ndarray:
-    """A layer OR (the layer shifted up by v) over the coins v, stopping
-    when full; both layers are held after one zero word.
+def _next_layer(padded: np.ndarray, coins: list[int], pairs: SearchMode | None = None) -> None:
+    """Grow a packed layer, held after one zero word, in place: OR in the
+    layer shifted up by v for every coin v.
 
-    shifts holds (v // 8, v % 8) per coin. Every coin reads the previous
-    layer, so its eight bit phases are built once and each coin costs one
-    byte-offset OR. Fullness is tested after coins 1, 2, 4, 8, ...; a full
-    set cannot grow, so skipping the remaining coins is exact.
+    Every coin reads the layer as it was before the call, so its eight bit
+    phases are built once and each coin costs one byte-offset OR. With pairs
+    None the shifts cover the whole range, and fullness is tested after
+    coins 1, 2, 4, 8, ...; a full set cannot grow, so skipping the remaining
+    coins is exact. With pairs set the layer is {0} and the coins, and the
+    result is every sum of at most two coins: a pair's larger coin v is one
+    of its terms, so coin v only writes [v, 2v] ([v, 2v - 1] for DISTINCT
+    pairs), with the window's last byte masked. Bits past the range are
+    padding, so windows are cut only at the end of the words.
     """
-    new = padded.copy()
     phases = _bit_phases(padded)
-    words = new[1:]
+    words = padded[1:]
     out = words.view(np.uint8)
     size = out.size
-    for done, (offset, phase) in enumerate(shifts, 1):
-        dest = out[offset:]
-        np.bitwise_or(dest, phases[phase, : size - offset], out=dest)
-        if done & (done - 1) == 0 and _full(words):
-            break
-    return new
+    if pairs is None:
+        for done, v in enumerate(coins, 1):
+            offset = v >> 3
+            dest = out[offset:]
+            np.bitwise_or(dest, phases[v & 7, : size - offset], out=dest)
+            if done & (done - 1) == 0 and _full(words):
+                return
+        return
+    # every OR reads the phases, never the layer, so the masked last bytes
+    # of all windows can go in one pass after the whole bytes
+    v = np.asarray(coins, dtype=np.int64)
+    ends = np.minimum(2 * v - (pairs is SearchMode.DISTINCT), 8 * size - 1)
+    starts, stops, bits = v >> 3, ends >> 3, v & 7
+    for start, stop, bit in zip(starts.tolist(), stops.tolist(), bits.tolist()):
+        dest = out[start:stop]
+        np.bitwise_or(dest, phases[bit, : stop - start], out=dest)
+    masks = ((2 << (ends & 7)) - 1).astype(np.uint8)
+    np.bitwise_or.at(out, stops, phases[bits, stops - starts] & masks)
 
 
 def _repeats_table(n: int, coins: list[int], cap: int) -> np.ndarray:
@@ -472,25 +490,24 @@ def _repeats_table(n: int, coins: list[int], cap: int) -> np.ndarray:
     at most t coins, so the first layer that reaches a cell is exactly the
     DP value 1 + min(counts[N - v]). That layer is also the number of
     layers (from layer 0, which holds only 0) that miss the cell, so each
-    layer adds its complement to the counts.
+    layer adds its complement to the counts before it grows.
 
-    Layers are packed bit sets with the padding bits on. Layer 1 sets the
-    coins' bits and each later layer comes from _next_layer. The build stops
-    at the cap or once a layer reaches every cell; the coin 1 = C(k, k)
-    makes every layer grow until then.
+    The layer is one packed bit set with the padding bits on. Layer 1 sets
+    the coins' bits; _next_layer grows it in place, through pair windows
+    into layer 2 and over the whole range after that. The build stops at
+    the cap or once a layer reaches every cell; the coin 1 = C(k, k) makes
+    every layer grow until then.
     """
     cells = n + 1
     counts = np.ones(cells, dtype=np.uint8)
     counts[0] = 0
     padded = np.zeros(-(-cells // 64) + 1, dtype=np.uint64)
     reach = _set_bits(_with_padding(padded[1:], cells), [0, *coins])
-    shifts = [(v >> 3, v & 7) for v in coins]
-    for _ in range(1, cap):
+    for layer in range(2, cap + 1):
         if _full(reach):
             break
-        padded = _next_layer(padded, shifts)
         counts += _unpack(~reach, cells)
-        reach = padded[1:]
+        _next_layer(padded, coins, SearchMode.REPEATS if layer == 2 else None)
     if not _full(reach):
         counts[_unpack(~reach, cells)] = EXCEEDS_CAP
     return counts
@@ -549,16 +566,22 @@ def _distinct_table(n: int, coins: list[int], cap: int) -> np.ndarray:
     return counts
 
 
+def _layer_bytes(words: int) -> int:
+    """Peak bytes of _next_layer on a layer of the given number of words:
+    the layer after a zero word, its eight bit phases and the seven carry
+    rows built with them."""
+    return 8 * (16 * words + 1)
+
+
 def _table_bytes(k: int, cells: int, coins: int, cap: int, mode: SearchMode) -> int:
     """Peak bytes min_rep_table allocates for a table of cells targets."""
     if k == 1:
         return cells + _CALL_BYTES
     words = -(-cells // 64)
     if mode is SearchMode.REPEATS:
-        # counts, then the larger of building a layer (two layers after a
-        # zero word, eight phases, seven carry rows) and marking one (two
-        # layers, a complement and the unpacked cells)
-        arrays = cells + max(8 * (17 * words + 2), cells + 8 * (3 * words + 2))
+        # counts, then the larger of growing the layer and marking it (the
+        # layer, its complement and the unpacked cells)
+        arrays = cells + max(_layer_bytes(words), cells + 8 * (2 * words + 1))
     else:
         # the level grid with its shifted and carry copies, counts, the
         # union of levels, its complement and the unpacked cells
@@ -605,14 +628,14 @@ def min_rep_table(
     if k == 1:
         counts = np.ones(range_end + 1, dtype=np.uint8)
         counts[0] = 0
-        return MinRepTable(k, 0, range_end, cap, mode, counts)
+        return MinRepTable(k, range_end, cap, mode, counts)
 
     coins = [binom(n, k) for n in range(k, top + 1)]
     if mode is SearchMode.REPEATS:
         counts = _repeats_table(range_end, coins, cap)
     else:
         counts = _distinct_table(range_end, coins, cap)
-    return MinRepTable(k, 0, range_end, cap, mode, counts)
+    return MinRepTable(k, range_end, cap, mode, counts)
 
 
 @dataclass(frozen=True)
@@ -715,21 +738,17 @@ def sumset_coverage_threshold(
     is fully covered. Distinct mode requires the two indices to differ; a
     lone triangular number or 0 still counts as covered in both modes.
 
-    The covered set and the set of triangular numbers (with 0) are packed
-    bit sets. Each triangular v ORs the triangulars T <= v (T < v in
-    distinct mode) shifted up by v into the bytes covering [v, min(2v,
-    r_max)], through byte-offset bit phases of the triangular set, with the
-    last byte masked at the window's end. The answer is read from the
-    highest zero bit at or below r_max.
+    The covered set is the packed layer of 0 and the triangular numbers up
+    to r_max, grown once by _next_layer through its pair windows ([v, 2v]
+    from triangular v, [v, 2v - 1] in distinct mode): layer 2 of the order-2
+    table. The answer is read from the highest zero bit at or below r_max.
     """
     mode = SearchMode.coerce(mode)
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
     cells = r_max + 1
     words = -(-cells // 64)
-    # the packed triangulars after a zero word, with their eight phases and
-    # the seven carry rows built with them
-    required = 8 * (16 * words + 1) + _COIN_BYTES * count_upto(2, r_max) + _CALL_BYTES
+    required = _layer_bytes(words) + _COIN_BYTES * count_upto(2, r_max) + _CALL_BYTES
     if required > memory_budget:
         raise ResourceBudgetError(
             "coverage scan exceeds the memory budget",
@@ -738,22 +757,9 @@ def sumset_coverage_threshold(
         )
     values = BinomialSequence(2).values_upto(r_max)
     padded = np.zeros(words + 1, dtype=np.uint64)
-    _set_bits(padded[1:], [0, *values])
-    phases = _bit_phases(padded)
-    del padded
-    reach = np.zeros(words, dtype=np.uint64)
-    covered = reach.view(np.uint8)
-    covered[0] = 1
-    # pair sums v + T with T <= v, or T < v in distinct mode, capped at r_max
-    repeats = int(mode is SearchMode.REPEATS)
-    for v in values:
-        hi = min(2 * v - 1 + repeats, r_max)
-        first, last = v >> 3, hi >> 3
-        src = phases[v & 7]
-        np.bitwise_or(covered[first:last], src[: last - first], out=covered[first:last])
-        covered[last] |= src[last - first] & ((2 << (hi & 7)) - 1)
+    reach = _set_bits(_with_padding(padded[1:], cells), [0, *values])
+    _next_layer(padded, values, mode)
 
-    _with_padding(reach, cells)
     open_words = reach != _ALL
     if not open_words.any():
         return 0

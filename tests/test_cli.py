@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from binsum import load_records_csv, load_records_json
+from binsum import load_records_csv, load_records_json, run_experiment
 from binsum.cli import main
 
 
@@ -76,6 +76,32 @@ class TestExitCodes:
         )
         assert proc.returncode == 3
         assert "memory budget" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "energy", "--k", "2", "--h", "2", "--index-bound", "50"],
+        ["--kind", "restricted-sums", "--k", "2", "--h", "2", "--x", "100"],
+        ["--kind", "exponent-fit", "--k", "1", "--h", "1", "--x", "10", "--x", "100",
+         "--x", "1000"],
+        ["--kind", "min-rep", "--k", "3", "--n", "17"],
+        ["--kind", "asymptotic-ratio", "--k", "2", "--x", "100"],
+    ], ids=lambda argv: argv[1])
+    def test_memory_budget_refused_where_unread(self, argv, capsys):
+        # only survey-H and coverage-threshold read the budget
+        assert main(["survey", *argv, "--memory-budget", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"Error: --kind {argv[1]} takes no --memory-budget" in captured.err
+
+    def test_run_experiment_refuses_an_unread_budget(self):
+        with pytest.raises(ValueError, match="energy takes no memory_budget"):
+            run_experiment("energy", {"k": 2, "h": 2, "index_bound": 50}, memory_budget=1)
+
+    def test_memory_budget_read_where_declared(self, capsys):
+        assert main(["survey", "--kind", "coverage-threshold", "--r-max", "100",
+                     "--memory-budget", "1"]) == 3
+        assert main(["survey", "--kind", "survey-H", "--k", "3", "--max", "100",
+                     "--memory-budget", str(10**6)]) == 0
+        assert "max terms = 5" in capsys.readouterr().out
 
     def test_help_is_0(self):
         assert run_cli("--help").returncode == 0

@@ -1,5 +1,6 @@
 """Decomposition routes, minimal-summand tables, surveys, coverage."""
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -580,7 +581,7 @@ class TestMinRepTable:
             want = [EXCEEDS_CAP if c == float("inf") or c > 12 else c for c in oracle]
             assert counts.tolist() == want, mode
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_packed_builders_equal_bytewise_reference(self, k):
         n = 2 * 10**5
         coins = BinomialSequence(k).values_upto(n)
@@ -590,6 +591,15 @@ class TestMinRepTable:
         for cap in (8, 3, 2):
             got = min_rep_table(k, n, cap, "distinct").counts
             assert np.array_equal(got, bytewise_distinct_table(n, coins, cap)), cap
+        # seeded small ranges: every byte phase of the layer-2 windows, and
+        # the tiny ranges (k=2, n <= 4) where layer 2 already fills
+        rng = random.Random(k)
+        cases = [(n, cap) for n in range(5) for cap in range(1, 9)]
+        cases += [(rng.randint(5, 5000), rng.randint(1, 8)) for _ in range(60)]
+        for n, cap in cases:
+            coins = BinomialSequence(k).values_upto(n)
+            got = min_rep_table(k, n, cap).counts
+            assert np.array_equal(got, bytewise_repeats_table(n, coins, cap)), (n, cap)
 
     def test_tetrahedral_five_term_targets_are_oeis_a000797(self):
         # Pollock's conjecture: 241 integers need five tetrahedral numbers,
@@ -671,22 +681,22 @@ class TestCoverage:
         assert sumset_coverage_threshold(10, "distinct") == 10
 
     def test_matches_enumeration(self):
-        for r_max in (1, 2, 3, 4, 10, 50, 63, 64, 65, 127, 128, 129, 137, 400):
-            for mode in ("repeats", "distinct"):
-                values = BinomialSequence(2).values_upto(r_max)
-                reach = {0} | set(values)
-                pairs = (
-                    itertools.combinations_with_replacement(values, 2)
-                    if mode == "repeats"
-                    else itertools.combinations(values, 2)
-                )
-                for a, b in pairs:
-                    if a + b <= r_max:
-                        reach.add(a + b)
-                uncovered = [m for m in range(1, r_max + 1) if m not in reach]
-                want = min(2 * uncovered[-1], r_max) if uncovered else 0
+        # every r_max up to 600: all byte phases of the window ends, and
+        # several word ends
+        values = BinomialSequence(2).values_upto(600)
+        for mode in ("repeats", "distinct"):
+            pairs = (
+                itertools.combinations_with_replacement(values, 2)
+                if mode == "repeats"
+                else itertools.combinations(values, 2)
+            )
+            reach = {0, *values} | {a + b for a, b in pairs}
+            uncovered = 0  # the largest uncovered m <= r_max, 0 for none
+            for r_max in range(1, 601):
+                if r_max not in reach:
+                    uncovered = r_max
                 got = sumset_coverage_threshold(r_max, mode)
-                assert got == want, (r_max, mode)
+                assert got == min(2 * uncovered, r_max), (r_max, mode)
 
     def test_memory_budget_enforced(self):
         with pytest.raises(ResourceBudgetError):
