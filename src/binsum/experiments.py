@@ -215,14 +215,8 @@ def _check_coverage(p: dict[str, Any]) -> None:
 
 
 def _run_coverage(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
-    return {
-        "repeats_threshold": represent.sumset_coverage_threshold(
-            params["r_max"], SearchMode.REPEATS, memory_budget=knobs.memory_budget
-        ),
-        "distinct_threshold": represent.sumset_coverage_threshold(
-            params["r_max"], SearchMode.DISTINCT, memory_budget=knobs.memory_budget
-        ),
-    }
+    repeats, distinct = represent._coverage_thresholds(params["r_max"], knobs.memory_budget)
+    return {"repeats_threshold": repeats, "distinct_threshold": distinct}
 
 
 def _summarize_coverage(p: dict, r: dict) -> str:

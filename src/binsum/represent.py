@@ -22,12 +22,24 @@ _next_layer, does every such OR. The layer of sums of at most two coins
 needs only the window [v, 2v] from coin v, since a pair's larger coin is
 one of its terms; later layers shift over the whole range and stop, exactly,
 as soon as every target is reached. The repeats table grows its layers
-with it, and the coverage scan is one layer-2 call whose highest zero bit
-is the answer. Working-memory estimates count the bytes of these arrays
-and their temporaries.
+with it, and the coverage scan is one distinct layer-2 call whose highest
+zero bit is the distinct answer; adding the doubles 2v gives the repeats
+layer and answer.
+
+The distinct table keeps one packed level per term count and shifts them
+all by each coin, so its cost grows with the number of levels. Only small
+targets need deep levels (distinct triangular sums need 4 terms only at 20),
+so a range past a base size first builds the exact table of its prefix
+[0, n // 64], recursively. A whole-range pass then keeps only as many
+levels as the prefix's top half needs, and the prefix's counts are copied
+back below it. Should a target above the prefix still be uncovered, one
+full-depth pass over [0, u], u the last such target, replaces the counts up
+to u. Working-memory estimates count the bytes of these arrays and their
+temporaries; every branch stays within the full-depth estimate.
 """
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, field
@@ -513,8 +525,9 @@ def _repeats_table(n: int, coins: list[int], cap: int) -> np.ndarray:
     return counts
 
 
-def _distinct_table(n: int, coins: list[int], cap: int) -> np.ndarray:
-    """Each-coin-at-most-once minimal counts over [0, n] as uint8.
+def _distinct_table(counts: np.ndarray, coins: list[int], cap: int) -> None:
+    """Each-coin-at-most-once minimal counts over [0, counts.size - 1],
+    written into the uint8 array counts; coins are those up to the range end.
 
     Level t is the packed set of sums of exactly t distinct coins among
     those processed so far; level 0 is {0}. Levels 1..rows are interleaved
@@ -526,9 +539,12 @@ def _distinct_table(n: int, coins: list[int], cap: int) -> np.ndarray:
     so no coin is used twice; level 0 adds v to level 1. The top level lands
     in the spill slot, which is cleared after every coin. Coins ascend, so
     before coin v the levels below the top hold sums below rows * v and only
-    those words are shifted.
+    those words are shifted: a pass with fewer levels (a lower cap) is
+    cheaper twice over, in rows per word and in words per coin. Counts above
+    the cap read EXCEEDS_CAP, so the counts at most the cap are exact at any
+    cap.
     """
-    cells = n + 1
+    cells = counts.size
     words = -(-cells // 64)
     rows = min(cap, len(coins))
     stride = rows + 1
@@ -556,13 +572,68 @@ def _distinct_table(n: int, coins: list[int], cap: int) -> np.ndarray:
         grid[offset, 0] |= np.uint64(1 << bit)
     # a cell's count is its first level t: the number of unions of levels
     # 0..s, s < t, that miss it
-    counts = np.zeros(cells, dtype=np.uint8)
+    counts.fill(0)
     union = np.zeros(words, dtype=np.uint64)
     union[0] = 1
     for t in range(rows):
         counts += _unpack(~union, cells)
         union |= grid[:words, t]
     counts[_unpack(~union, cells)] = EXCEEDS_CAP
+
+
+# Distinct tables from this many cells up build a prefix table first.
+_PREFIX_BASE = 2**16
+
+
+def _prefix_depth(top_half: np.ndarray, cap: int) -> int:
+    """The levels a whole-range pass keeps, read from the top half of the
+    prefix table: its largest count, or cap if a target there is uncovered."""
+    deepest = int(top_half.max())
+    return cap if deepest == EXCEEDS_CAP else deepest
+
+
+def _last_uncovered(counts: np.ndarray) -> int:
+    """Index of the last EXCEEDS_CAP cell of counts, or -1 if none."""
+    missing = counts == EXCEEDS_CAP
+    return counts.size - 1 - int(missing[::-1].argmax()) if missing.any() else -1
+
+
+def _distinct_counts(counts: np.ndarray, coins: list[int], cap: int) -> np.ndarray:
+    """_distinct_table over [0, counts.size - 1], with deep levels only on
+    the prefix that still needs them; returns counts.
+
+    Counts need not grow with the target: distinct triangular sums need 4
+    terms only at 20, and none exists for six targets up to 33. Below
+    _PREFIX_BASE cells this is one pass at the cap. Above it the exact table
+    of the prefix [0, m], m = n // 64, is built first (recursively, in
+    place; at a 64th of the range its deep levels cost little), and its top
+    half gives the depth r (_prefix_depth). At r >= cap one pass at the cap
+    follows. At r < cap one pass keeps r levels over the whole range, exact
+    for every count at most r; a target t <= m needs only coins up to t, so
+    the prefix table is exact there and is copied back. A target above m
+    still uncovered needs more than r terms: then one pass at the cap over
+    [0, u], u the last such target, replaces the counts up to u. That pass
+    must not recurse, as its depth read would leave u uncovered again. The
+    worst case is therefore the prefix, the shallow pass, and one pass at
+    the cap over [0, u].
+    """
+    n = counts.size - 1
+    if n >= _PREFIX_BASE:
+        m = n // 64
+        _distinct_counts(counts[: m + 1], coins[: bisect.bisect_right(coins, m)], cap)
+        depth = _prefix_depth(counts[m // 2 + 1 : m + 1], cap)
+        if depth < cap:
+            prefix = counts[: m + 1].copy()
+            _distinct_table(counts, coins, depth)
+            u = _last_uncovered(counts[m + 1 :])
+            if u < 0:
+                counts[: m + 1] = prefix
+                return counts
+            # the fallback rebuilds [0, u], which holds the prefix
+            del prefix
+            n = m + 1 + u
+            coins = coins[: bisect.bisect_right(coins, n)]
+    _distinct_table(counts[: n + 1], coins, cap)
     return counts
 
 
@@ -584,7 +655,9 @@ def _table_bytes(k: int, cells: int, coins: int, cap: int, mode: SearchMode) -> 
         arrays = cells + max(_layer_bytes(words), cells + 8 * (2 * words + 1))
     else:
         # the level grid with its shifted and carry copies, counts, the
-        # union of levels, its complement and the unpacked cells
+        # union of levels, its complement and the unpacked cells. Every pass
+        # of _distinct_counts writes into the one counts array, and its
+        # shallow pass has room for the prefix copy in its missing levels.
         stride = min(cap, coins) + 1
         arrays = 24 * stride * (words + 1) + 2 * cells + 16 * words
     return arrays + _COIN_BYTES * coins + _CALL_BYTES
@@ -603,6 +676,12 @@ def min_rep_table(
     The default mode allows repeated elements (classic unbounded-coin DP);
     distinct mode bounds every element to a single use. Order 1 is the
     identity sequence, where every positive target is a single term.
+
+    Distinct mode builds deep levels only where they are needed (see
+    _distinct_counts): the prefix table [0, range_end // 64] at the cap, a
+    shallow pass over the whole range at the depth the prefix's top half
+    needs, and a full-depth pass over [0, u] only if some target u above the
+    prefix is still uncovered. The counts equal one full-depth pass.
 
     Estimated working memory above the budget raises ResourceBudgetError
     before any allocation.
@@ -634,7 +713,7 @@ def min_rep_table(
     if mode is SearchMode.REPEATS:
         counts = _repeats_table(range_end, coins, cap)
     else:
-        counts = _distinct_table(range_end, coins, cap)
+        counts = _distinct_counts(np.empty(range_end + 1, dtype=np.uint8), coins, cap)
     return MinRepTable(k, range_end, cap, mode, counts)
 
 
@@ -738,14 +817,37 @@ def sumset_coverage_threshold(
     is fully covered. Distinct mode requires the two indices to differ; a
     lone triangular number or 0 still counts as covered in both modes.
 
-    The covered set is the packed layer of 0 and the triangular numbers up
-    to r_max, grown once by _next_layer through its pair windows ([v, 2v]
-    from triangular v, [v, 2v - 1] in distinct mode): layer 2 of the order-2
-    table. The answer is read from the highest zero bit at or below r_max.
+    Both modes come from one scan, _coverage_thresholds.
     """
     mode = SearchMode.coerce(mode)
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
+    repeats, distinct = _coverage_thresholds(r_max, memory_budget)
+    return repeats if mode is SearchMode.REPEATS else distinct
+
+
+def _blocked_threshold(reach: np.ndarray, r_max: int) -> int:
+    """min(2 m, r_max) for the highest zero bit m of a packed set with its
+    padding on, or 0 when every bit is on: an uncovered m blocks every R in
+    [m, 2m]."""
+    open_words = reach != _ALL
+    if not open_words.any():
+        return 0
+    w = reach.size - 1 - int(open_words[::-1].argmax())
+    m = 64 * w + (_ALL ^ int(reach[w])).bit_length() - 1
+    return min(2 * m, r_max)
+
+
+def _coverage_thresholds(r_max: int, memory_budget: int) -> tuple[int, int]:
+    """sumset_coverage_threshold(r_max) in repeats and in distinct mode.
+
+    The covered set is the packed layer of 0 and the triangular numbers up
+    to r_max, grown once by _next_layer through its distinct pair windows
+    ([v, 2v - 1] from triangular v): layer 2 of the order-2 distinct table.
+    Repeats pairs add only the doubles 2v, so their layer is the same set
+    with those bits on. Each answer is read from its layer's highest zero
+    bit.
+    """
     cells = r_max + 1
     words = -(-cells // 64)
     required = _layer_bytes(words) + _COIN_BYTES * count_upto(2, r_max) + _CALL_BYTES
@@ -758,11 +860,7 @@ def sumset_coverage_threshold(
     values = BinomialSequence(2).values_upto(r_max)
     padded = np.zeros(words + 1, dtype=np.uint64)
     reach = _set_bits(_with_padding(padded[1:], cells), [0, *values])
-    _next_layer(padded, values, mode)
-
-    open_words = reach != _ALL
-    if not open_words.any():
-        return 0
-    w = words - 1 - int(open_words[::-1].argmax())
-    m = 64 * w + (_ALL ^ int(reach[w])).bit_length() - 1
-    return min(2 * m, r_max)
+    _next_layer(padded, values, SearchMode.DISTINCT)
+    distinct = _blocked_threshold(reach, r_max)
+    _set_bits(reach, [2 * v for v in values[: bisect.bisect_right(values, r_max // 2)]])
+    return _blocked_threshold(reach, r_max), distinct

@@ -600,6 +600,53 @@ class TestMinRepTable:
             coins = BinomialSequence(k).values_upto(n)
             got = min_rep_table(k, n, cap).counts
             assert np.array_equal(got, bytewise_repeats_table(n, coins, cap)), (n, cap)
+            got = min_rep_table(k, n, cap, "distinct").counts
+            assert np.array_equal(got, bytewise_distinct_table(n, coins, cap)), (n, cap)
+
+    def test_distinct_prefix_branches(self, monkeypatch):
+        # a base of 512 cells runs the prefix recursion at a few thousand
+        monkeypatch.setattr(represent, "_PREFIX_BASE", 512)
+        passes = []
+        table = represent._distinct_table
+
+        def logged(counts, coins, cap):
+            passes.append((counts.size, cap))
+            table(counts, coins, cap)
+
+        monkeypatch.setattr(represent, "_distinct_table", logged)
+
+        def check(k, n, cap=8):
+            passes.clear()
+            got = min_rep_table(k, n, cap, "distinct").counts
+            want = bytewise_distinct_table(n, BinomialSequence(k).values_upto(n), cap)
+            assert np.array_equal(got, want), (k, n, cap)
+            return list(passes)
+
+        # below the base: one pass at the cap
+        assert check(2, 400) == [(401, 8)]
+        # the prefix [0, 46] holds 33, which has no distinct representation
+        # in its top half: depth cap, one full-depth pass
+        assert check(2, 3000) == [(47, 8), (3001, 8)]
+        # the top half of [0, 78] needs at most 3 terms: a 3-level pass, then
+        # the prefix (20 needs 4; 23 and 33 none) is copied back
+        assert check(2, 5000) == [(79, 8), (5001, 3)]
+        # two levels of recursion: [0, 9] holds 5 and 8, so [0, 625] is built
+        # at the cap; its top half needs at most 3 terms
+        assert check(2, 40000) == [(10, 8), (626, 8), (40001, 3)]
+        assert check(3, 200000) == [(49, 8), (3126, 8), (200001, 5)]
+
+        # one level too shallow leaves targets above the prefix uncovered:
+        # the fallback is one full-depth pass over [0, u], u the last of them
+        read = represent._prefix_depth
+        monkeypatch.setattr(
+            represent, "_prefix_depth", lambda top_half, cap: read(top_half, cap) - 1
+        )
+        log = check(2, 5000)
+        assert log[:2] == [(79, 8), (5001, 2)] and len(log) == 3
+        assert 79 < log[2][0] <= 5001 and log[2][1] == 8
+        for k, n in ((2, 40000), (3, 200000)):
+            log = check(k, n)
+            assert log[-2][0] == n + 1 and log[-2][1] < 8 and log[-1][1] == 8
 
     def test_tetrahedral_five_term_targets_are_oeis_a000797(self):
         # Pollock's conjecture: 241 integers need five tetrahedral numbers,
@@ -614,13 +661,25 @@ class TestMinRepTable:
             min_rep_table(2, 10**6, memory_budget=1000)
         assert info.value.required > info.value.budget
 
-    @pytest.mark.parametrize("k", [2, 3])
+    # distinct: k = 2 and 3 read a shallow depth from the prefix, k = 4
+    # reads the cap and builds the full depth after the prefix
+    @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("mode", ["repeats", "distinct"])
     def test_traced_peak_within_estimate(self, k, mode):
         n = 2 * 10**5
         with pytest.raises(ResourceBudgetError) as info:
             min_rep_table(k, n, mode=mode, memory_budget=0)
         assert traced_peak(lambda: min_rep_table(k, n, mode=mode)) <= info.value.required
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_traced_peak_within_estimate_on_distinct_fallback(self, monkeypatch, k):
+        # depth 1 leaves nearly every target above the prefix uncovered, so
+        # the full-depth pass over [0, u] runs while the counts are held
+        monkeypatch.setattr(represent, "_prefix_depth", lambda top_half, cap: 1)
+        n = 2 * 10**5
+        with pytest.raises(ResourceBudgetError) as info:
+            min_rep_table(k, n, mode="distinct", memory_budget=0)
+        assert traced_peak(lambda: min_rep_table(k, n, mode="distinct")) <= info.value.required
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
