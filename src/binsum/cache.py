@@ -49,5 +49,5 @@ class ResultCache:
         return path
 
     def entries(self) -> dict[str, Path]:
-        """Manifest view: fingerprint to file, for every well-formed entry."""
+        """Manifest view: fingerprint to file for every *.json entry, corrupt ones included."""
         return {p.stem: p for p in sorted(self.root.glob("*.json"))}

@@ -1,16 +1,17 @@
-"""Command line interface.
+"""Sums of binomial coefficients C(n, k): decompositions, minimal-summand
+surveys, and additive-energy diagnostics.
 
-Exit codes: 0 success, 1 usage error, 2 arithmetic overflow (reserved; the
-arbitrary-precision core cannot overflow), 3 resource budget exceeded,
-4 no representation found (decompose only).
+Exit codes: 0 success, 1 usage error or an unusable --out or --cache-dir path,
+2 arithmetic overflow (reserved; the arbitrary-precision core cannot overflow),
+3 resource budget exceeded, 4 no representation found (decompose only).
 """
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 from pathlib import Path
-
-import click
+from typing import Callable, Sequence
 
 from ._version import __version__
 from .binom import SEQUENCES
@@ -38,12 +39,26 @@ from .represent import (
 
 CACHE_ENV_VAR = "BINSUM_CACHE_DIR"
 
-# Every option once: parameter name -> (flag, click attributes). Experiment
-# parameters declare no default: an absent option reads None (or () where it
-# repeats), so the normalizers in experiments.py fill every default, for
-# both front doors alike. --x repeats; _run_and_report hands it to a kind as
-# its bounds or as its single x.
+
+class _UsageError(Exception):
+    """A command line that cannot run as given: exit 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """No -h, no abbreviated flags, and _UsageError where argparse would exit 2."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="Show this message and exit.")
+
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
+# Every option once: parameter name -> (flag, argparse attributes). The normalizers
+# in experiments.py fill every default but --format's and --algorithm's.
 _OPTIONS: dict[str, tuple[str, dict]] = {
+    "kind": ("--kind", dict(choices=EXPERIMENT_KINDS, required=True)),
     "k": ("--k", dict(type=int, help="Order of the sequence.")),
     "h": ("--h", dict(type=int, help="Summands per sum.")),
     "n": ("--n", dict(type=int, help="Target integer.")),
@@ -53,59 +68,39 @@ _OPTIONS: dict[str, tuple[str, dict]] = {
     "cap": ("--cap", dict(type=int, help="Survey table term cap.")),
     "max_witnesses": ("--max-witnesses", dict(type=int)),
     "index_bound": ("--index-bound", dict(type=int)),
-    "x": ("--x", dict(type=int, multiple=True,
+    "x": ("--x", dict(type=int, action="append",
                       help="Value bound; repeat for a fit or a multi-row table.")),
-    "convention": ("--convention", dict(type=click.Choice(CONVENTIONS))),
-    "c": ("--c", dict(type=str, help="Per-term budget fraction, e.g. 1/2 "
-                                     "(energy: runs the restricted variant; needs --x).")),
-    "sequence": ("--sequence", dict(type=click.Choice(list(SEQUENCES)))),
+    "convention": ("--convention", dict(choices=CONVENTIONS)),
+    "c": ("--c", dict(help="Per-term budget fraction, e.g. 1/2 "
+                           "(energy: runs the restricted variant; needs --x).")),
+    "sequence": ("--sequence", dict(choices=list(SEQUENCES))),
     "top": ("--top", dict(type=int, help="Report the top-T multiplicities.")),
     "r_max": ("--r-max", dict(type=int)),
     "memory_budget": ("--memory-budget", dict(
         type=int, help="Abort (exit 3) if the working set would exceed this many bytes.")),
-    "mode": ("--mode", dict(type=click.Choice([m.value for m in SearchMode]),
+    "mode": ("--mode", dict(choices=[m.value for m in SearchMode],
                             help="Whether summands may repeat.")),
-    "out": ("--out", dict(type=click.Path(path_type=Path),
-                          help="Write the record(s) to this file.")),
-    "fmt": ("--format", dict(type=click.Choice(["json", "csv"]), default="json",
-                             show_default=True, help="Export format for --out.")),
-    "cache_dir": ("--cache-dir", dict(type=click.Path(path_type=Path), envvar=CACHE_ENV_VAR,
-                                      help=f"Record cache directory (or set {CACHE_ENV_VAR}).")),
+    "out": ("--out", dict(type=Path, help="Write the record(s) to this file.")),
+    "fmt": ("--format", dict(choices=["json", "csv"], default="json",
+                             help="Export format for --out (default: json).")),
+    "cache_dir": ("--cache-dir", dict(type=Path, help="Record cache directory "
+                                      f"(default: ${CACHE_ENV_VAR} if set and non-empty).")),
     "threads": ("--threads", dict(
         type=int, help="Threads for the dense energy fold (default: all cores), at most "
         "one per 100,000 cells of its result. Never changes results.")),
+    "algorithm": ("--algorithm", dict(choices=["greedy", "exact"], default="greedy", help=(
+        "greedy (default): constructive route; exact: fewest terms up to --h-max."))),
 }
 # options every command takes: where to write and how to run
 _KNOBS = ("out", "fmt", "cache_dir", "threads")
 
 
-def _options(*names: str):
-    """Attach the named options, then the _KNOBS ones."""
-
-    def attach(f):
-        for name in reversed((*names, *_KNOBS)):
-            flag, attrs = _OPTIONS[name]
-            f = click.option(flag, name, **attrs)(f)
-        return f
-
-    return attach
-
-
-def _usage_error(exc: Exception, command: str | None = None) -> click.UsageError:
+def _usage_error(exc: Exception, command: str | None = None) -> _UsageError:
     """exc as a usage error; a missing parameter is named with its option."""
     if isinstance(exc, MissingParameterError):
         flag = _OPTIONS["x" if exc.name == "bounds" else exc.name][0]
-        return click.UsageError(f"{command or exc.kind} requires parameter "
-                                f"{exc.name!r} ({flag})")
-    return click.UsageError(str(exc))
-
-
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        return os.cpu_count() or 1
-    if threads < 1:
-        raise click.UsageError("--threads must be >= 1")
-    return threads
+        return _UsageError(f"{command or exc.kind} requires parameter {exc.name!r} ({flag})")
+    return _UsageError(str(exc))
 
 
 def _export(records: list[SurveyRecord], fmt: str, out: Path | None) -> None:
@@ -115,64 +110,50 @@ def _export(records: list[SurveyRecord], fmt: str, out: Path | None) -> None:
         dump_records_csv(records, out)
     else:
         dump_records_json(records, out)
-    click.echo(f"wrote {out}")
+    print(f"wrote {out}")
 
 
 def _run_and_report(kind: str, options: dict, command: str) -> SurveyRecord:
-    """Run one kind with its parameters taken from the click options of the
-    same names, echo its summary line and export it to --out if given.
+    """Run one kind with its parameters taken from the given options of the
+    same names, print its summary line and export it to --out if given.
 
-    The given options are admitted first: --x becomes the kind's bounds or
-    its single x, and an option the kind does not take is refused, in
+    The options are admitted first, in place: --x becomes the kind's bounds
+    or its single x, and an option the kind does not take is refused, in
     messages that name command; only budgeted kinds take --memory-budget.
     """
     names = CSV_FIELDS[kind][0]
     knobs = (*_KNOBS, "memory_budget") if KINDS[kind].budgeted else _KNOBS
-    # an absent option reads None, or () where it repeats
-    given = {name: value for name, value in options.items() if value not in (None, ())}
-    if "bounds" in names and "x" in given:
-        given["bounds"] = given.pop("x")
-    elif "x" in names and "x" in given:
-        if len(given["x"]) > 1:
-            raise click.UsageError(f"{command} takes a single --x")
-        given["x"] = given["x"][0]
-    foreign = [_OPTIONS[name][0] for name in given if name not in (*names, *knobs)]
+    if "bounds" in names and "x" in options:
+        options["bounds"] = options.pop("x")
+    elif "x" in names and "x" in options:
+        if len(options["x"]) > 1:
+            raise _UsageError(f"{command} takes a single --x")
+        options["x"] = options["x"][0]
+    foreign = [_OPTIONS[name][0] for name in options if name not in (*names, *knobs)]
     if foreign:
-        raise click.UsageError(f"{command} takes no {', '.join(foreign)}")
-    params = {name: given[name] for name in names if name in given}
-    cache_dir = options["cache_dir"]
+        raise _UsageError(f"{command} takes no {', '.join(foreign)}")
+    params = {name: options[name] for name in names if name in options}
+    threads = options.get("threads", os.cpu_count() or 1)
+    if threads < 1:
+        raise _UsageError("--threads must be >= 1")
+    cache_dir = options.get("cache_dir") or os.environ.get(CACHE_ENV_VAR)
     try:
         record, hit = run_experiment(
             kind,
             params,
-            threads=_resolve_threads(options["threads"]),
+            threads=threads,
             memory_budget=options.get("memory_budget"),
-            cache=None if cache_dir is None else ResultCache(cache_dir),
+            cache=ResultCache(cache_dir) if cache_dir else None,
         )
     except (ValueError, TypeError) as exc:
         raise _usage_error(exc) from exc
-    click.echo(summary_line(record) + (" [cached]" if hit else ""))
-    _export([record], options["fmt"], options["out"])
+    print(summary_line(record) + (" [cached]" if hit else ""))
+    _export([record], options["fmt"], options.get("out"))
     return record
 
 
-@click.group()
-@click.version_option(__version__)
-def cli() -> None:
-    """Sums of binomial coefficients C(n, k): decompositions,
-    minimal-summand surveys, and additive-energy diagnostics."""
-
-
-@cli.command()
-@_options("k", "n", "h_max", "mode")
-@click.option(
-    "--algorithm",
-    type=click.Choice(["greedy", "exact"]),
-    default="greedy",
-    show_default=True,
-    help="greedy: constructive route; exact: fewest terms up to --h-max.",
-)
-def decompose(algorithm, fmt, out, cache_dir, threads, **options):
+def decompose(algorithm: str, fmt: str, out: Path | None = None, cache_dir=None,
+              threads=None, **options) -> None:
     """Write N as a sum of values C(n, k)."""
     try:
         # the parameters of the exact search, checked as min-rep checks them
@@ -197,7 +178,7 @@ def decompose(algorithm, fmt, out, cache_dir, threads, **options):
         cap_text = f"7 {distinct_word}terms"
     else:
         if search_mode is SearchMode.DISTINCT and k > 1:
-            raise click.UsageError(
+            raise _UsageError(
                 "distinct-mode greedy is only defined for k in {1, 2, 3}; "
                 "use --algorithm exact"
             )
@@ -210,8 +191,8 @@ def decompose(algorithm, fmt, out, cache_dir, threads, **options):
         raise NoRepresentationError(
             f"no representation of {target} with <= {cap_text} (k={k})"
         )
-    click.echo(f"{target} = " + " + ".join(str(v) for v in rep.values))
-    click.echo(f"indices (n, descending): {list(rep.indices)}")
+    print(f"{target} = " + " + ".join(str(v) for v in rep.values))
+    print(f"indices (n, descending): {list(rep.indices)}")
     if out is not None:
         dump_payload({
             "k": k,
@@ -223,20 +204,15 @@ def decompose(algorithm, fmt, out, cache_dir, threads, **options):
             "terms": len(rep),
             "distinct": rep.distinct,
         }, out, fmt)
-        click.echo(f"wrote {out}")
+        print(f"wrote {out}")
 
 
-@cli.command("min-rep")
-@_options("k", "n", "h_max", "mode")
-def min_rep(**options):
+def min_rep(**options) -> None:
     """Fewest summands for one target, or report that h-max is exceeded."""
     _run_and_report("min-rep", options, "min-rep")
 
 
-@cli.command()
-@click.option("--kind", type=click.Choice(EXPERIMENT_KINDS), required=True)
-@_options(*(name for name in _OPTIONS if name not in _KNOBS))
-def survey(kind, **options):
+def survey(kind: str, **options) -> None:
     """Run any experiment kind and export its record.
 
     Takes the kind's parameters and the output and execution options only;
@@ -245,66 +221,85 @@ def survey(kind, **options):
     _run_and_report(kind, options, f"--kind {kind}")
 
 
-@cli.command()
-@_options("k", "h", "index_bound", "x", "convention", "c", "sequence", "top")
-def energy(**options):
+def energy(**options) -> None:
     """Multiplicity statistics for h-fold sums."""
-    if options["c"] is None:
-        _run_and_report("energy", options, "energy")
-    else:
+    if "c" in options:
         _run_and_report("restricted-sums", options, "energy --c")
+    else:
+        _run_and_report("energy", options, "energy")
 
 
-@cli.command()
-@_options("k", "r_max", "memory_budget", "mode")
-def coverage(mode, **options):
+def coverage(mode: str = SearchMode.REPEATS.value, **options) -> None:
     """Largest R <= r-max where [R/2, R] misses a two-triangular sum.
 
     Both admission modes are computed and recorded; --mode picks which one
     the summary highlights.
     """
     record = _run_and_report("coverage-threshold", options, "coverage")
-    shown = "distinct" if mode == "distinct" else "repeats"
-    click.echo(f"{shown} threshold: {record.results[shown + '_threshold']}")
+    print(f"{mode} threshold: {record.results[mode + '_threshold']}")
 
 
-@cli.command()
-@_options("k", "h", "x", "sequence")
-def fit(**options):
+def fit(**options) -> None:
     """Fit the growth exponent of the h-fold energy across value bounds."""
     _run_and_report("exponent-fit", options, "fit")
 
 
-@cli.command()
-@_options("k", "x")
-def table(x, **options):
+def table(out: Path | None = None, x: Sequence[int] = (), **options) -> None:
     """Counts of sequence values up to X and their ratio to leading order."""
     # one row per --x; none at all still runs once, so the missing x is reported
-    records = [_run_and_report("asymptotic-ratio", dict(options, x=xs, out=None), "table")
-               for xs in [(value,) for value in x] or [()]]
-    _export(records, options["fmt"], options["out"])
+    records = [_run_and_report("asymptotic-ratio", row, "table")
+               for row in [dict(options, x=[value]) for value in x] or [options]]
+    _export(records, options["fmt"], out)
+
+
+# command -> (handler, the options it takes before the _KNOBS)
+_COMMANDS: dict[str, tuple[Callable[..., None], tuple[str, ...]]] = {
+    "decompose": (decompose, ("k", "n", "h_max", "mode", "algorithm")),
+    "min-rep": (min_rep, ("k", "n", "h_max", "mode")),
+    # survey takes every option but the knobs and decompose's --algorithm
+    "survey": (survey, tuple(name for name in _OPTIONS if name not in (*_KNOBS, "algorithm"))),
+    "energy": (energy, ("k", "h", "index_bound", "x", "convention", "c", "sequence", "top")),
+    "coverage": (coverage, ("k", "r_max", "memory_budget", "mode")),
+    "fit": (fit, ("k", "h", "x", "sequence")),
+    "table": (table, ("k", "x")),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """One parser for every command; a handler receives only the options given."""
+    parser = _Parser(prog="binsum", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for command, (handler, names) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=(handler.__doc__ or "").split("\n")[0],
+                                  description=handler.__doc__, argument_default=argparse.SUPPRESS)
+        for name in (*names, *_KNOBS):
+            flag, attrs = _OPTIONS[name]
+            sub.add_argument(flag, dest=name, **attrs)
+    return parser
+
+
+_PARSER = _build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit-code mapping."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:  # usage errors included
-        exc.show()
-        return 1
-    except click.Abort:
-        click.echo("aborted", err=True)
+        options = vars(_PARSER.parse_args(argv))
+        _COMMANDS[options.pop("command")][0](**options)
+    except SystemExit:  # only --help and --version exit the parser
+        return 0
+    except (_UsageError, OSError) as exc:  # OSError: an --out or --cache-dir path
+        print(f"Error: {exc}", file=sys.stderr)
         return 1
     except NoRepresentationError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 4
     except ResourceBudgetError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except OverflowError as exc:
-        click.echo(f"error: arithmetic overflow: {exc}", err=True)
+        print(f"error: arithmetic overflow: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -103,7 +103,7 @@ def _summarize_min_rep(p: dict, r: dict) -> str:
 
 def _check_survey(p: dict[str, Any]) -> None:
     if p["cap"] is None:
-        p["cap"] = represent.CAP_MAX if p["mode"] == "repeats" else 8
+        p["cap"] = represent.DEFAULT_SURVEY_CAP[SearchMode(p["mode"])]
     _require(p["n_min"] <= p["n_max"], "need 1 <= n_min <= n_max")
 
 

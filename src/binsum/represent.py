@@ -108,6 +108,9 @@ class SearchMode(enum.Enum):
         return cls(value)
 
 
+DEFAULT_SURVEY_CAP = {SearchMode.REPEATS: CAP_MAX, SearchMode.DISTINCT: 8}
+
+
 @dataclass(frozen=True)
 class Representation:
     """A verified multiset of indices whose C(n, order) values sum to target.
@@ -780,7 +783,7 @@ def survey_min_rep(
     if not (1 <= n_min <= n_max):
         raise ValueError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
     if cap is None:
-        cap = CAP_MAX if mode is SearchMode.REPEATS else 8
+        cap = DEFAULT_SURVEY_CAP[mode]
     table = min_rep_table(k, n_max, cap, mode, memory_budget=memory_budget)
     counts = table.counts[n_min:]
     best = int(counts.max())

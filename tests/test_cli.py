@@ -1,10 +1,13 @@
 """Command line behaviour: output, exit codes, exports, cache wiring."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import binsum
 from binsum import load_records_csv, load_records_json, run_experiment
 from binsum.cli import main
 
@@ -265,3 +268,81 @@ class TestOtherCommands:
         records = load_records_csv(out)
         assert len(records) == 2
         assert records[0].results["count"] == 13  # triangulars up to 100
+
+
+# the directory binsum is imported from, so a subprocess imports it from any cwd
+SRC = str(Path(binsum.__file__).resolve().parents[1])
+
+
+def run_cli_in(cwd, *args, **env):
+    return subprocess.run(
+        [sys.executable, "-m", "binsum", *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=SRC, **env),
+        timeout=120,
+    )
+
+
+class TestParser:
+    """Command-line parsing that must not change with the parser library."""
+
+    def test_abbreviated_flag_is_refused(self, capsys):
+        assert main(["energy", "--k", "2", "--h", "2", "--inde", "5"]) == 1
+        assert "Error:" in capsys.readouterr().err
+
+    def test_non_integer_value_is_a_usage_error(self):
+        proc = run_cli("decompose", "--k", "x", "--n", "5")
+        assert proc.returncode == 1
+        assert "Error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_no_command_is_1(self):
+        assert run_cli().returncode == 1
+
+    def test_version_output(self):
+        assert f"version {binsum.__version__}" in run_cli("--version").stdout
+
+    def test_empty_cache_env_var_means_no_cache(self, tmp_path):
+        proc = run_cli_in(tmp_path, "survey", "--kind", "min-rep", "--k", "2", "--n", "42",
+                          BINSUM_CACHE_DIR="")
+        assert proc.returncode == 0
+        assert os.listdir(tmp_path) == []
+
+    def test_import_loads_no_click(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, binsum.cli; print('click' in sys.modules)"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120,
+        )
+        assert proc.stdout.strip() == "False", proc.stderr
+
+
+class TestBadPaths:
+    """An --out or --cache-dir path that cannot be used is a usage error
+    that names it, with no traceback and no temp file left behind."""
+
+    def test_out_is_a_directory(self, tmp_path):
+        target = tmp_path / "d"
+        target.mkdir()
+        proc = run_cli("table", "--k", "3", "--x", "10", "--out", str(target))
+        assert proc.returncode == 1
+        assert "Error:" in proc.stderr and str(target) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert os.listdir(tmp_path) == ["d"] and os.listdir(target) == []
+
+    def test_empty_out(self, tmp_path):
+        proc = run_cli_in(tmp_path, "table", "--k", "3", "--x", "10", "--out", "")
+        assert proc.returncode == 1
+        assert "Error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert os.listdir(tmp_path) == []
+
+    def test_cache_dir_is_a_file(self, tmp_path):
+        target = tmp_path / "f"
+        target.write_text("")
+        proc = run_cli("min-rep", "--k", "2", "--n", "40", "--cache-dir", str(target))
+        assert proc.returncode == 1
+        assert "Error:" in proc.stderr and str(target) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert os.listdir(tmp_path) == ["f"]
