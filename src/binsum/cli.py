@@ -103,6 +103,16 @@ def _usage_error(exc: Exception, command: str | None = None) -> _UsageError:
     return _UsageError(str(exc))
 
 
+def _check_out(out: Path) -> None:
+    """Refuse an --out path that cannot be written before anything runs: a
+    directory, or a path below a file (missing directories are created)."""
+    if out.is_dir():
+        raise _UsageError(f"--out {out} is a directory")
+    parent = next(path for path in out.parents if path.exists())
+    if not parent.is_dir():
+        raise _UsageError(f"--out {out}: {parent} is not a directory")
+
+
 def _export(records: list[SurveyRecord], fmt: str, out: Path | None) -> None:
     if out is None:
         return
@@ -286,6 +296,8 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point with the documented exit-code mapping."""
     try:
         options = vars(_PARSER.parse_args(argv))
+        if "out" in options:
+            _check_out(options["out"])
         _COMMANDS[options.pop("command")][0](**options)
     except SystemExit:  # only --help and --version exit the parser
         return 0

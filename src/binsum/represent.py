@@ -18,24 +18,33 @@ reachable targets as packed little-endian uint64 words, bit j for target j;
 only the per-target counts are uint8. Shifting a set by a coin v becomes a
 byte offset of v // 8 applied to one of eight copies of the set pre-shifted
 by 0..7 bits, so one OR covers eight targets per byte. One kernel,
-_next_layer, does every such OR. The layer of sums of at most two coins
-needs only the window [v, 2v] from coin v, since a pair's larger coin is
-one of its terms; later layers shift over the whole range and stop, exactly,
-as soon as every target is reached. The repeats table grows its layers
-with it, and the coverage scan is one distinct layer-2 call whose highest
-zero bit is the distinct answer; adding the doubles 2v gives the repeats
-layer and answer.
+_next_layer, does every such OR, and one builder, _layered_counts, grows
+the layers and reads a count off each. Coin v may shift only the layer's
+cells up to v, writing the window [v, 2v]: the layer of sums of at most two
+coins needs no more, since a pair's larger coin is one of its terms. The
+repeats table grows layer 2 through these windows and later layers over
+the whole range, stopping, exactly, as soon as every target is reached.
+The coverage scan is one distinct layer-2 call whose highest zero bit is
+the distinct answer; adding the doubles 2v gives the repeats layer and
+answer.
 
-The distinct table keeps one packed level per term count and shifts them
-all by each coin, so its cost grows with the number of levels. Only small
-targets need deep levels (distinct triangular sums need 4 terms only at 20),
-so a range past a base size first builds the exact table of its prefix
-[0, n // 64], recursively. A whole-range pass then keeps only as many
-levels as the prefix's top half needs, and the prefix's counts are copied
-back below it. Should a target above the prefix still be uncovered, one
-full-depth pass over [0, u], u the last such target, replaces the counts up
-to u. Working-memory estimates count the bytes of these arrays and their
-temporaries; every branch stays within the full-depth estimate.
+Distinct windows ([v, 2v - 1]) add only sums of distinct coins to a layer
+of such sums, and grow layer 1 into all sums of two, so a distinct table
+to depth 3 is the same builder: counts 1 and 2 are exact, a first reach at
+layer 3 is exactly 3, and the few three-term sums layer 3 misses read as
+uncovered. Deeper
+distinct counts come from a level grid (_distinct_table) that keeps one
+packed level per term count and shifts them all by each coin, so its cost
+grows with the number of levels. Only small targets need deep levels
+(distinct triangular sums need 4 terms only at 20), so a range past a base
+size first builds the exact table of its prefix [0, n // 64], recursively.
+A whole-range pass then keeps only as many levels as the prefix's top half
+needs, as window layers while that is at most 3, and the prefix's counts
+are copied back below it. Should a target above the prefix still be
+uncovered, one full-depth grid pass over [0, u], u the last such target,
+replaces the counts up to u. Working-memory estimates count the bytes of
+these arrays and their temporaries, and each distinct pass is checked
+against the budget before it allocates.
 """
 from __future__ import annotations
 
@@ -460,25 +469,26 @@ def _bit_phases(padded: np.ndarray) -> np.ndarray:
     return phases.view(np.uint8)
 
 
-def _next_layer(padded: np.ndarray, coins: list[int], pairs: SearchMode | None = None) -> None:
+def _next_layer(padded: np.ndarray, coins: list[int], windows: SearchMode | None = None) -> None:
     """Grow a packed layer, held after one zero word, in place: OR in the
     layer shifted up by v for every coin v.
 
     Every coin reads the layer as it was before the call, so its eight bit
-    phases are built once and each coin costs one byte-offset OR. With pairs
-    None the shifts cover the whole range, and fullness is tested after
-    coins 1, 2, 4, 8, ...; a full set cannot grow, so skipping the remaining
-    coins is exact. With pairs set the layer is {0} and the coins, and the
-    result is every sum of at most two coins: a pair's larger coin v is one
-    of its terms, so coin v only writes [v, 2v] ([v, 2v - 1] for DISTINCT
-    pairs), with the window's last byte masked. Bits past the range are
-    padding, so windows are cut only at the end of the words.
+    phases are built once and each coin costs one byte-offset OR. With
+    windows None the shifts cover the whole range, and fullness is tested
+    after coins 1, 2, 4, 8, ...; a full set cannot grow, so skipping the
+    remaining coins is exact. With windows set, coin v shifts only the
+    layer's cells up to v (below v for DISTINCT), so it writes only [v, 2v]
+    ([v, 2v - 1]), with the window's last byte masked. This holds for any
+    layer; grown from {0} and the coins, the result is every sum of at most
+    two coins, as a pair's larger coin v is one of its terms. Bits past the
+    range are padding, so windows are cut only at the end of the words.
     """
     phases = _bit_phases(padded)
     words = padded[1:]
     out = words.view(np.uint8)
     size = out.size
-    if pairs is None:
+    if windows is None:
         for done, v in enumerate(coins, 1):
             offset = v >> 3
             dest = out[offset:]
@@ -489,7 +499,7 @@ def _next_layer(padded: np.ndarray, coins: list[int], pairs: SearchMode | None =
     # every OR reads the phases, never the layer, so the masked last bytes
     # of all windows can go in one pass after the whole bytes
     v = np.asarray(coins, dtype=np.int64)
-    ends = np.minimum(2 * v - (pairs is SearchMode.DISTINCT), 8 * size - 1)
+    ends = np.minimum(2 * v - (windows is SearchMode.DISTINCT), 8 * size - 1)
     starts, stops, bits = v >> 3, ends >> 3, v & 7
     for start, stop, bit in zip(starts.tolist(), stops.tolist(), bits.tolist()):
         dest = out[start:stop]
@@ -498,31 +508,45 @@ def _next_layer(padded: np.ndarray, coins: list[int], pairs: SearchMode | None =
     np.bitwise_or.at(out, stops, phases[bits, stops - starts] & masks)
 
 
-def _repeats_table(n: int, coins: list[int], cap: int) -> np.ndarray:
-    """Unbounded-coin minimal counts over [0, n] as uint8.
+def _layered_counts(
+    counts: np.ndarray, coins: list[int], depth: int, mode: SearchMode
+) -> np.ndarray:
+    """Counts up to depth over [0, counts.size - 1] from packed layers,
+    written into the uint8 array counts; returns counts.
 
-    Layered reachability: layer t marks every target expressible as a sum of
-    at most t coins, so the first layer that reaches a cell is exactly the
-    DP value 1 + min(counts[N - v]). That layer is also the number of
-    layers (from layer 0, which holds only 0) that miss the cell, so each
-    layer adds its complement to the counts before it grows.
+    Layer t is one packed bit set with the padding bits on; layer 1 sets 0
+    and the coins, and _next_layer grows each layer into the next in place.
+    A cell's count is the first layer that reaches it, which is also the
+    number of layers (from layer 0, which holds only 0) that miss it, so
+    each layer adds its complement to the counts before it grows. Cells no
+    layer up to depth reaches read EXCEEDS_CAP. The build stops early once
+    a layer reaches every cell.
 
-    The layer is one packed bit set with the padding bits on. Layer 1 sets
-    the coins' bits; _next_layer grows it in place, through pair windows
-    into layer 2 and over the whole range after that. The build stops at
-    the cap or once a layer reaches every cell; the coin 1 = C(k, k) makes
-    every layer grow until then.
+    Repeats layers grow through pair windows into layer 2 and over the
+    whole range after that: layer t is every sum of at most t coins, so the
+    counts are the exact DP values 1 + min(counts[N - v]). The coin 1 =
+    C(k, k) makes every layer grow until it is full.
+
+    Distinct layers grow through DISTINCT windows at every layer. Coin v
+    adds v to the layer's cells below v, each 0 or a sum of distinct coins
+    below v, so layer t holds only sums of at most t distinct coins, and
+    layer 2 holds all of them. Counts 1 and 2 are therefore exact, and a
+    cell first reached at layer 3 needs exactly 3. Layer 3 misses a sum of
+    three distinct coins only if in each such sum the two smaller terms add
+    up to at least the largest (at k = 2 only 110 = 55 + 45 + 10 does), and
+    such a cell reads EXCEEDS_CAP. Deeper distinct layers miss ever more;
+    _distinct_counts grows them only to _WINDOW_DEPTH.
     """
-    cells = n + 1
-    counts = np.ones(cells, dtype=np.uint8)
+    cells = counts.size
+    counts.fill(1)
     counts[0] = 0
     padded = np.zeros(-(-cells // 64) + 1, dtype=np.uint64)
     reach = _set_bits(_with_padding(padded[1:], cells), [0, *coins])
-    for layer in range(2, cap + 1):
+    for layer in range(2, depth + 1):
         if _full(reach):
             break
         counts += _unpack(~reach, cells)
-        _next_layer(padded, coins, SearchMode.REPEATS if layer == 2 else None)
+        _next_layer(padded, coins, mode if mode is SearchMode.DISTINCT or layer == 2 else None)
     if not _full(reach):
         counts[_unpack(~reach, cells)] = EXCEEDS_CAP
     return counts
@@ -586,13 +610,15 @@ def _distinct_table(counts: np.ndarray, coins: list[int], cap: int) -> None:
 
 # Distinct tables from this many cells up build a prefix table first.
 _PREFIX_BASE = 2**16
+# The deepest whole-range distinct pass built from window layers.
+_WINDOW_DEPTH = 3
 
 
-def _prefix_depth(top_half: np.ndarray, cap: int) -> int:
+def _prefix_depth(top_half: np.ndarray) -> int:
     """The levels a whole-range pass keeps, read from the top half of the
-    prefix table: its largest count, or cap if a target there is uncovered."""
-    deepest = int(top_half.max())
-    return cap if deepest == EXCEEDS_CAP else deepest
+    prefix table: its largest count, EXCEEDS_CAP if a target there is
+    uncovered."""
+    return int(top_half.max())
 
 
 def _last_uncovered(counts: np.ndarray) -> int:
@@ -601,33 +627,52 @@ def _last_uncovered(counts: np.ndarray) -> int:
     return counts.size - 1 - int(missing[::-1].argmax()) if missing.any() else -1
 
 
-def _distinct_counts(counts: np.ndarray, coins: list[int], cap: int) -> np.ndarray:
-    """_distinct_table over [0, counts.size - 1], with deep levels only on
-    the prefix that still needs them; returns counts.
+def _distinct_counts(
+    counts: np.ndarray, coins: list[int], cap: int, held: int, budget: int
+) -> np.ndarray:
+    """Distinct counts at the cap over [0, counts.size - 1], with deep
+    levels only on the prefix that still needs them; returns counts.
 
     Counts need not grow with the target: distinct triangular sums need 4
     terms only at 20, and none exists for six targets up to 33. Below
-    _PREFIX_BASE cells this is one pass at the cap. Above it the exact table
-    of the prefix [0, m], m = n // 64, is built first (recursively, in
-    place; at a 64th of the range its deep levels cost little), and its top
-    half gives the depth r (_prefix_depth). At r >= cap one pass at the cap
-    follows. At r < cap one pass keeps r levels over the whole range, exact
-    for every count at most r; a target t <= m needs only coins up to t, so
-    the prefix table is exact there and is copied back. A target above m
-    still uncovered needs more than r terms: then one pass at the cap over
+    _PREFIX_BASE cells this is one _distinct_table pass at the cap. Above
+    it the exact table of the prefix [0, m], m = n // 64, is built first
+    (recursively, in place; at a 64th of the range its deep levels cost
+    little), and its top half gives the depth r (_prefix_depth). One
+    shallow pass then covers the whole range: window layers up to r while r
+    <= _WINDOW_DEPTH (see _layered_counts), else _distinct_table at r < cap
+    levels; at any other r one pass at the cap follows. Either is exact for
+    every count it reports and leaves the rest uncovered; a target t <= m
+    needs only coins up to t, so the prefix table is exact there and is
+    copied back. A target above m still uncovered needs more than r terms,
+    or is a three-term sum the windows miss: then one pass at the cap over
     [0, u], u the last such target, replaces the counts up to u. That pass
     must not recurse, as its depth read would leave u uncovered again. The
     worst case is therefore the prefix, the shallow pass, and one pass at
     the cap over [0, u].
+
+    Each pass is checked against the budget just before it allocates, on
+    top of the held bytes (the counts and the coins) and the prefix copy.
     """
     n = counts.size - 1
     if n >= _PREFIX_BASE:
         m = n // 64
-        _distinct_counts(counts[: m + 1], coins[: bisect.bisect_right(coins, m)], cap)
-        depth = _prefix_depth(counts[m // 2 + 1 : m + 1], cap)
-        if depth < cap:
+        _distinct_counts(
+            counts[: m + 1], coins[: bisect.bisect_right(coins, m)], cap, held, budget
+        )
+        depth = _prefix_depth(counts[m // 2 + 1 : m + 1])
+        if depth < cap or depth <= _WINDOW_DEPTH:
+            window = depth <= _WINDOW_DEPTH
+            if window:
+                shallow = _layers_bytes(n + 1)
+            else:
+                shallow = _grid_bytes(n + 1, min(depth, len(coins)))
+            _check_budget(held + m + 1 + shallow, budget)
             prefix = counts[: m + 1].copy()
-            _distinct_table(counts, coins, depth)
+            if window:
+                _layered_counts(counts, coins, depth, SearchMode.DISTINCT)
+            else:
+                _distinct_table(counts, coins, depth)
             u = _last_uncovered(counts[m + 1 :])
             if u < 0:
                 counts[: m + 1] = prefix
@@ -636,8 +681,17 @@ def _distinct_counts(counts: np.ndarray, coins: list[int], cap: int) -> np.ndarr
             del prefix
             n = m + 1 + u
             coins = coins[: bisect.bisect_right(coins, n)]
+    _check_budget(held + _grid_bytes(n + 1, min(cap, len(coins))), budget)
     _distinct_table(counts[: n + 1], coins, cap)
     return counts
+
+
+def _check_budget(required: int, budget: int, what: str = "min_rep_table working set") -> None:
+    """Raise ResourceBudgetError when required bytes exceed the budget."""
+    if required > budget:
+        raise ResourceBudgetError(
+            f"{what} exceeds the memory budget", required=required, budget=budget
+        )
 
 
 def _layer_bytes(words: int) -> int:
@@ -647,23 +701,35 @@ def _layer_bytes(words: int) -> int:
     return 8 * (16 * words + 1)
 
 
+def _layers_bytes(cells: int) -> int:
+    """Peak bytes of _layered_counts over cells targets, counts aside: the
+    larger of growing the layer and marking it (the layer, its complement
+    and the unpacked cells)."""
+    words = -(-cells // 64)
+    return max(_layer_bytes(words), cells + 8 * (2 * words + 1))
+
+
+def _grid_bytes(cells: int, rows: int) -> int:
+    """Peak bytes of _distinct_table over cells targets with rows levels,
+    counts aside: the level grid with its shifted and carry copies, then
+    the union of levels, its complement and the unpacked cells."""
+    words = -(-cells // 64)
+    return 24 * (rows + 1) * (words + 1) + 16 * words + cells
+
+
 def _table_bytes(k: int, cells: int, coins: int, cap: int, mode: SearchMode) -> int:
-    """Peak bytes min_rep_table allocates for a table of cells targets."""
+    """Bytes min_rep_table charges before it allocates: the counts, the
+    coins and the first pass. A repeats table has one pass. A distinct
+    table's first pass is the prefix build, at most one pass at the cap over
+    the prefix; _distinct_counts checks every pass again as it comes."""
     if k == 1:
         return cells + _CALL_BYTES
-    words = -(-cells // 64)
     if mode is SearchMode.REPEATS:
-        # counts, then the larger of growing the layer and marking it (the
-        # layer, its complement and the unpacked cells)
-        arrays = cells + max(_layer_bytes(words), cells + 8 * (2 * words + 1))
+        first = _layers_bytes(cells)
     else:
-        # the level grid with its shifted and carry copies, counts, the
-        # union of levels, its complement and the unpacked cells. Every pass
-        # of _distinct_counts writes into the one counts array, and its
-        # shallow pass has room for the prefix copy in its missing levels.
-        stride = min(cap, coins) + 1
-        arrays = 24 * stride * (words + 1) + 2 * cells + 16 * words
-    return arrays + _COIN_BYTES * coins + _CALL_BYTES
+        prefix = (cells - 1) // 64 + 1 if cells > _PREFIX_BASE else cells
+        first = _grid_bytes(prefix, min(cap, coins))
+    return cells + first + _COIN_BYTES * coins + _CALL_BYTES
 
 
 def min_rep_table(
@@ -683,11 +749,14 @@ def min_rep_table(
     Distinct mode builds deep levels only where they are needed (see
     _distinct_counts): the prefix table [0, range_end // 64] at the cap, a
     shallow pass over the whole range at the depth the prefix's top half
-    needs, and a full-depth pass over [0, u] only if some target u above the
-    prefix is still uncovered. The counts equal one full-depth pass.
+    needs (window layers up to depth 3, as at k = 2), and a full-depth pass
+    over [0, u] only if some target u above the prefix is still uncovered.
+    The counts equal one full-depth pass.
 
     Estimated working memory above the budget raises ResourceBudgetError
-    before any allocation.
+    before any allocation: the counts, the coins and the first pass are
+    charged up front, and each later distinct pass is checked before it
+    allocates, so a refusal can come after the prefix is built.
     """
     mode = SearchMode.coerce(mode)
     if k < 1:
@@ -699,13 +768,7 @@ def min_rep_table(
 
     # the largest index whose coin fits the range
     top = floor_index(k, range_end) if range_end else k - 1
-    required = _table_bytes(k, range_end + 1, top - k + 1, cap, mode)
-    if required > memory_budget:
-        raise ResourceBudgetError(
-            "min_rep_table working set exceeds the memory budget",
-            required=required,
-            budget=memory_budget,
-        )
+    _check_budget(_table_bytes(k, range_end + 1, top - k + 1, cap, mode), memory_budget)
 
     if k == 1:
         counts = np.ones(range_end + 1, dtype=np.uint8)
@@ -713,10 +776,12 @@ def min_rep_table(
         return MinRepTable(k, range_end, cap, mode, counts)
 
     coins = [binom(n, k) for n in range(k, top + 1)]
+    counts = np.empty(range_end + 1, dtype=np.uint8)
     if mode is SearchMode.REPEATS:
-        counts = _repeats_table(range_end, coins, cap)
+        _layered_counts(counts, coins, cap, mode)
     else:
-        counts = _distinct_counts(np.empty(range_end + 1, dtype=np.uint8), coins, cap)
+        held = counts.size + _COIN_BYTES * len(coins) + _CALL_BYTES
+        _distinct_counts(counts, coins, cap, held, memory_budget)
     return MinRepTable(k, range_end, cap, mode, counts)
 
 
@@ -854,12 +919,7 @@ def _coverage_thresholds(r_max: int, memory_budget: int) -> tuple[int, int]:
     cells = r_max + 1
     words = -(-cells // 64)
     required = _layer_bytes(words) + _COIN_BYTES * count_upto(2, r_max) + _CALL_BYTES
-    if required > memory_budget:
-        raise ResourceBudgetError(
-            "coverage scan exceeds the memory budget",
-            required=required,
-            budget=memory_budget,
-        )
+    _check_budget(required, memory_budget, "coverage scan")
     values = BinomialSequence(2).values_upto(r_max)
     padded = np.zeros(words + 1, dtype=np.uint64)
     reach = _set_bits(_with_padding(padded[1:], cells), [0, *values])

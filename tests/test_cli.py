@@ -331,6 +331,23 @@ class TestBadPaths:
         assert "Traceback" not in proc.stderr
         assert os.listdir(tmp_path) == ["d"] and os.listdir(target) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["table", "--k", "3", "--x", "10"],
+        ["decompose", "--k", "2", "--n", "11"],
+        ["survey", "--kind", "min-rep", "--k", "2", "--n", "5"],
+    ], ids=["table", "decompose", "survey"])
+    def test_out_refused_before_the_run(self, tmp_path, capsys, argv):
+        # nothing runs, so no summary line reaches stdout
+        afile = tmp_path / "f"
+        afile.write_text("")
+        for out, reason in ((tmp_path, "is a directory"),
+                            (afile / "x.json", f"{afile} is not a directory")):
+            assert main([*argv, "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"Error: --out {out}" in captured.err and reason in captured.err
+        assert os.listdir(tmp_path) == ["f"]
+
     def test_empty_out(self, tmp_path):
         proc = run_cli_in(tmp_path, "table", "--k", "3", "--x", "10", "--out", "")
         assert proc.returncode == 1

@@ -146,6 +146,26 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def record_estimates(monkeypatch) -> list:
+    """The list that every later budget check in represent appends its
+    working-set estimate to (a distinct table checks each pass)."""
+    estimates = []
+    check = represent._check_budget
+
+    def recorded(required, budget, *args):
+        estimates.append(required)
+        check(required, budget, *args)
+
+    monkeypatch.setattr(represent, "_check_budget", recorded)
+    return estimates
+
+
+def peak_and_estimate(monkeypatch, fn) -> tuple[int, int]:
+    """Traced peak of fn, and the largest estimate it checked."""
+    estimates = record_estimates(monkeypatch)
+    return traced_peak(fn), max(estimates)
+
+
 class TestRepresentation:
     def test_normalizes_and_validates(self):
         rep = Representation(16, 2, (3, 5, 3))
@@ -607,13 +627,18 @@ class TestMinRepTable:
         # a base of 512 cells runs the prefix recursion at a few thousand
         monkeypatch.setattr(represent, "_PREFIX_BASE", 512)
         passes = []
-        table = represent._distinct_table
+        table, layered = represent._distinct_table, represent._layered_counts
 
-        def logged(counts, coins, cap):
-            passes.append((counts.size, cap))
+        def logged_table(counts, coins, cap):
+            passes.append(("grid", counts.size, cap))
             table(counts, coins, cap)
 
-        monkeypatch.setattr(represent, "_distinct_table", logged)
+        def logged_layers(counts, coins, depth, mode):
+            passes.append(("window", counts.size, depth))
+            return layered(counts, coins, depth, mode)
+
+        monkeypatch.setattr(represent, "_distinct_table", logged_table)
+        monkeypatch.setattr(represent, "_layered_counts", logged_layers)
 
         def check(k, n, cap=8):
             passes.clear()
@@ -623,30 +648,34 @@ class TestMinRepTable:
             return list(passes)
 
         # below the base: one pass at the cap
-        assert check(2, 400) == [(401, 8)]
+        assert check(2, 400) == [("grid", 401, 8)]
         # the prefix [0, 46] holds 33, which has no distinct representation
         # in its top half: depth cap, one full-depth pass
-        assert check(2, 3000) == [(47, 8), (3001, 8)]
-        # the top half of [0, 78] needs at most 3 terms: a 3-level pass, then
-        # the prefix (20 needs 4; 23 and 33 none) is copied back
-        assert check(2, 5000) == [(79, 8), (5001, 3)]
+        assert check(2, 3000) == [("grid", 47, 8), ("grid", 3001, 8)]
+        # the top half of [0, 78] needs at most 3 terms: window layers up to
+        # 3 cover the whole range but miss 110 = 55 + 45 + 10, above this
+        # prefix, so the fallback rebuilds [0, 110] at the cap
+        assert check(2, 5000) == [("grid", 79, 8), ("window", 5001, 3), ("grid", 111, 8)]
         # two levels of recursion: [0, 9] holds 5 and 8, so [0, 625] is built
-        # at the cap; its top half needs at most 3 terms
-        assert check(2, 40000) == [(10, 8), (626, 8), (40001, 3)]
-        assert check(3, 200000) == [(49, 8), (3126, 8), (200001, 5)]
+        # at the cap; its top half needs at most 3 terms, and the prefix
+        # (20 needs 4; 23 and 33 none; 110 needs 3) is copied back
+        assert check(2, 40000) == [("grid", 10, 8), ("grid", 626, 8), ("window", 40001, 3)]
+        # depth 5 is past the windows: a 5-level grid
+        assert check(3, 200000) == [("grid", 49, 8), ("grid", 3126, 8), ("grid", 200001, 5)]
 
         # one level too shallow leaves targets above the prefix uncovered:
         # the fallback is one full-depth pass over [0, u], u the last of them
         read = represent._prefix_depth
         monkeypatch.setattr(
-            represent, "_prefix_depth", lambda top_half, cap: read(top_half, cap) - 1
+            represent, "_prefix_depth", lambda top_half: read(top_half) - 1
         )
         log = check(2, 5000)
-        assert log[:2] == [(79, 8), (5001, 2)] and len(log) == 3
-        assert 79 < log[2][0] <= 5001 and log[2][1] == 8
-        for k, n in ((2, 40000), (3, 200000)):
+        assert log[:2] == [("grid", 79, 8), ("window", 5001, 2)] and len(log) == 3
+        assert log[2][0] == "grid" and 79 < log[2][1] <= 5001 and log[2][2] == 8
+        for k, n, kind in ((2, 40000, "window"), (3, 200000, "grid")):
             log = check(k, n)
-            assert log[-2][0] == n + 1 and log[-2][1] < 8 and log[-1][1] == 8
+            assert log[-2][:2] == (kind, n + 1) and log[-2][2] < 8
+            assert log[-1][0] == "grid" and log[-1][2] == 8
 
     def test_tetrahedral_five_term_targets_are_oeis_a000797(self):
         # Pollock's conjecture: 241 integers need five tetrahedral numbers,
@@ -661,25 +690,56 @@ class TestMinRepTable:
             min_rep_table(2, 10**6, memory_budget=1000)
         assert info.value.required > info.value.budget
 
-    # distinct: k = 2 and 3 read a shallow depth from the prefix, k = 4
-    # reads the cap and builds the full depth after the prefix
+    # distinct: k = 2 reads depth 3 from the prefix (window layers), k = 3
+    # reads 5 (a 5-level grid), k = 4 reads the cap and builds the full
+    # depth after the prefix
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("mode", ["repeats", "distinct"])
-    def test_traced_peak_within_estimate(self, k, mode):
+    def test_traced_peak_within_estimate(self, monkeypatch, k, mode):
         n = 2 * 10**5
-        with pytest.raises(ResourceBudgetError) as info:
+        with pytest.raises(ResourceBudgetError):
             min_rep_table(k, n, mode=mode, memory_budget=0)
-        assert traced_peak(lambda: min_rep_table(k, n, mode=mode)) <= info.value.required
+        peak, estimate = peak_and_estimate(monkeypatch, lambda: min_rep_table(k, n, mode=mode))
+        assert peak <= estimate
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_traced_peak_within_estimate_on_distinct_fallback(self, monkeypatch, k):
         # depth 1 leaves nearly every target above the prefix uncovered, so
         # the full-depth pass over [0, u] runs while the counts are held
-        monkeypatch.setattr(represent, "_prefix_depth", lambda top_half, cap: 1)
+        monkeypatch.setattr(represent, "_prefix_depth", lambda top_half: 1)
         n = 2 * 10**5
-        with pytest.raises(ResourceBudgetError) as info:
+        with pytest.raises(ResourceBudgetError):
             min_rep_table(k, n, mode="distinct", memory_budget=0)
-        assert traced_peak(lambda: min_rep_table(k, n, mode="distinct")) <= info.value.required
+        peak, estimate = peak_and_estimate(
+            monkeypatch, lambda: min_rep_table(k, n, mode="distinct")
+        )
+        assert peak <= estimate
+
+    def test_distinct_estimate_is_tight_at_ten_million(self, monkeypatch):
+        # the largest pass is the depth-3 window build over the whole range
+        peak, estimate = peak_and_estimate(
+            monkeypatch, lambda: min_rep_table(2, 10**7, mode="distinct")
+        )
+        assert estimate / 2 <= peak <= estimate
+
+    def test_default_budget_admits_distinct_at_ten_to_the_eight(self):
+        # charged up front: the counts, the coins and the prefix at the cap
+        with pytest.raises(ResourceBudgetError) as info:
+            min_rep_table(2, 10**8, mode="distinct", memory_budget=0)
+        assert 10**8 < info.value.required < represent.DEFAULT_MEMORY_BUDGET // 8
+
+    def test_distinct_fallback_checked_before_it_allocates(self, monkeypatch):
+        # a forced depth of 1 sends nearly the whole range to the fallback,
+        # the last and largest pass; one byte less refuses only that pass
+        monkeypatch.setattr(represent, "_prefix_depth", lambda top_half: 1)
+        n = 2 * 10**5
+        estimates = record_estimates(monkeypatch)
+        min_rep_table(2, n, mode="distinct")
+        fallback = estimates[-1]
+        assert fallback == max(estimates) and fallback > max(estimates[:-1])
+        with pytest.raises(ResourceBudgetError) as info:
+            min_rep_table(2, n, mode="distinct", memory_budget=fallback - 1)
+        assert info.value.required == fallback
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -688,6 +748,58 @@ class TestMinRepTable:
             min_rep_table(2, 10, cap=0)
         with pytest.raises(ValueError):
             min_rep_table(2, 10, cap=255)
+
+
+class TestDistinctWindows:
+    """The shallow distinct pass from window layers, and the tables past the
+    prefix base that use it."""
+
+    @staticmethod
+    def window_counts(k: int, n: int, depth: int) -> tuple:
+        coins = BinomialSequence(k).values_upto(n)
+        counts = np.empty(n + 1, dtype=np.uint8)
+        return represent._layered_counts(counts, coins, depth, SearchMode.DISTINCT), coins
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_layer_two_is_the_pair_set(self, k):
+        n = 5 * 10**4
+        got, coins = self.window_counts(k, n, 2)
+        assert np.array_equal(got, bytewise_distinct_table(n, coins, 2))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_first_reached_at_layer_three_needs_three(self, k):
+        n = 5 * 10**4
+        got, coins = self.window_counts(k, n, 3)
+        want = bytewise_distinct_table(n, coins, 3)
+        reached = got != EXCEEDS_CAP
+        assert np.array_equal(got[reached], want[reached])
+        assert np.count_nonzero(got == 3) > 0
+
+    def test_110_is_the_only_order_two_target_the_windows_miss(self):
+        # 110 = 55 + 45 + 10, and 45 + 10 is not below 55
+        n = 2 * 10**5
+        got, coins = self.window_counts(2, n, 3)
+        want = bytewise_distinct_table(n, coins, 3)
+        assert np.flatnonzero(got != want).tolist() == [110]
+        assert want[110] == 3 and got[110] == EXCEEDS_CAP
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_table_past_the_base_equals_bytewise_reference(self, k):
+        n = random.Random(k).randint(2**16, 2**16 + 2**14)
+        coins = BinomialSequence(k).values_upto(n)
+        for cap in (3, 4, 8):
+            got = min_rep_table(k, n, cap, "distinct").counts
+            assert np.array_equal(got, bytewise_distinct_table(n, coins, cap)), (n, cap)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_table_at_the_full_cap_equals_bytewise_reference(self, monkeypatch, k):
+        # a base of 512 puts the prefixes on both sides of 110 at k = 2
+        monkeypatch.setattr(represent, "_PREFIX_BASE", 512)
+        rng = random.Random(10 + k)
+        for n in (rng.randint(4500, 7000), rng.randint(7000, 12000)):
+            coins = BinomialSequence(k).values_upto(n)
+            got = min_rep_table(k, n, CAP_MAX, "distinct").counts
+            assert np.array_equal(got, bytewise_distinct_table(n, coins, CAP_MAX)), n
 
 
 class TestSurvey:
