@@ -144,8 +144,6 @@ def _run_and_report(kind: str, options: dict, command: str) -> SurveyRecord:
         raise _UsageError(f"{command} takes no {', '.join(foreign)}")
     params = {name: options[name] for name in names if name in options}
     threads = options.get("threads", os.cpu_count() or 1)
-    if threads < 1:
-        raise _UsageError("--threads must be >= 1")
     cache_dir = options.get("cache_dir") or os.environ.get(CACHE_ENV_VAR)
     try:
         record, hit = run_experiment(
@@ -165,6 +163,8 @@ def _run_and_report(kind: str, options: dict, command: str) -> SurveyRecord:
 def decompose(algorithm: str, fmt: str, out: Path | None = None, cache_dir=None,
               threads=None, **options) -> None:
     """Write N as a sum of values C(n, k)."""
+    if algorithm == "greedy" and "h_max" in options:
+        raise _UsageError("decompose --algorithm greedy takes no --h-max")
     try:
         # the parameters of the exact search, checked as min-rep checks them
         params = normalize_parameters("min-rep", options)
@@ -192,9 +192,7 @@ def decompose(algorithm: str, fmt: str, out: Path | None = None, cache_dir=None,
                 "distinct-mode greedy is only defined for k in {1, 2, 3}; "
                 "use --algorithm exact"
             )
-        chain = greedy_chain(target, k)
-        assert chain is not None  # no cap, so the chain always finishes
-        rep = Representation(target, k, tuple(chain))
+        rep = Representation(target, k, tuple(greedy_chain(target, k)))
         cap_text = "unbounded terms"
 
     if rep is None:
@@ -298,6 +296,8 @@ def main(argv: list[str] | None = None) -> int:
         options = vars(_PARSER.parse_args(argv))
         if "out" in options:
             _check_out(options["out"])
+        if options.get("threads", 1) < 1:
+            raise _UsageError("--threads must be >= 1")
         _COMMANDS[options.pop("command")][0](**options)
     except SystemExit:  # only --help and --version exit the parser
         return 0

@@ -318,7 +318,10 @@ def normalize_parameters(kind: str, params: dict[str, Any]) -> dict[str, Any]:
             if name not in spec.defaults:
                 raise MissingParameterError(kind, name)
             value = spec.defaults[name]
-        out[name] = None if value is None else _RULES[name][0](value)
+        try:  # Fraction("1/0") raises ZeroDivisionError, not ValueError
+            out[name] = None if value is None else _RULES[name][0](value)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"cannot read parameter {name!r} from {value!r}: {exc}") from exc
     if spec.check is not None:
         spec.check(out)
     for name, value in out.items():

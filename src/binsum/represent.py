@@ -1,12 +1,12 @@
 """Decompositions of integers into sums of binomial coefficients C(n, k).
 
 Two families of tools live here. Constructive decompositions peel the
-largest usable element and complete the small remainder (order 2 gets a
-two-term completion, order 3 a greedy chain). Exact oracles answer "how few
-summands suffice": a dense dynamic program over a whole range, and a
-depth-limited search for single targets. The two admission policies,
-repeated elements allowed or all elements distinct, are a mode shared by
-every search entry point.
+largest usable element: order 2 completes the small remainder with a
+two-term scan, and order 3 is the depth-limited search within seven terms,
+whose first branch at every level is that peel. Exact oracles answer "how
+few summands suffice": a dense dynamic program over a whole range, and the
+same search for single targets. The two admission policies (repeats or
+distinct elements) are a mode shared by every search entry point.
 
 The single-target search and the order-2 completion share one routine for
 their last two terms: it walks the candidate leading terms in fixed-size
@@ -191,11 +191,10 @@ def two_triangular(
     )
 
 
-def greedy_chain(target: int, k: int, max_terms: int | None = None) -> list[int] | None:
+def greedy_chain(target: int, k: int) -> list[int]:
     """Indices from repeatedly peeling the leading term until nothing is left.
 
-    Always terminates (each step removes at least 1). Returns None when a
-    term cap is given and the chain would exceed it.
+    Always terminates (each step removes at least 1).
     """
     if target < 1:
         raise ValueError(f"target must be >= 1, got {target}")
@@ -204,8 +203,6 @@ def greedy_chain(target: int, k: int, max_terms: int | None = None) -> list[int]
     while remainder:
         n, remainder = greedy_leading_term(remainder, k)
         indices.append(n)
-        if max_terms is not None and len(indices) > max_terms:
-            return None
     return indices
 
 
@@ -295,8 +292,9 @@ def _bounded_search(
     previous one (strictly below it in distinct mode) and never exceeds the
     floor index of the remainder; a branch dies once even max copies of its
     largest usable value cannot reach the remainder. The last two levels
-    are one vectorised scan, _two_term_completion. index_cap, if given,
-    caps the leading index.
+    are one vectorised scan, _two_term_completion. Each level tries the
+    floor index first, so a greedy chain within max_terms is the first hit;
+    index_cap, if given, caps the leading index.
     """
     distinct = mode is SearchMode.DISTINCT
 
@@ -392,17 +390,13 @@ def decompose_k2(
 def decompose_k3(target: int) -> Representation | None:
     """At most seven order-3 summands for target, or None.
 
-    The greedy chain is tried first, capped at seven terms. It can need
-    more: 8 terms already below 10^4, and 11 among 2000 seeded targets in
-    [10^12, 10^13]. The seven-term bound then comes from the bounded
-    exhaustive search that takes over. A None would exhibit an integer with
-    no seven-term representation at all.
+    The bounded search within seven terms; its first hit is the greedy
+    chain whenever that chain fits. The chain alone can need more: 8 terms
+    below 10^4, 11 among 2000 seeded targets in [10^12, 10^13]. A None
+    would exhibit an integer with no seven-term representation at all.
     """
     if target < 1:
         raise ValueError(f"target must be >= 1, got {target}")
-    chain = greedy_chain(target, 3, max_terms=7)
-    if chain is not None:
-        return Representation(target, 3, tuple(chain))
     found = _bounded_search(target, 3, 7, SearchMode.REPEATS)
     return None if found is None else Representation(target, 3, found)
 

@@ -99,6 +99,16 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="energy takes no memory_budget"):
             run_experiment("energy", {"k": 2, "h": 2, "index_bound": 50}, memory_budget=1)
 
+    def test_run_experiment_names_an_unreadable_parameter(self):
+        with pytest.raises(ValueError, match="cannot read parameter 'c' from '1/0'"):
+            run_experiment("restricted-sums", {"k": 2, "h": 2, "x": 10, "c": "1/0"})
+
+    def test_decompose_exact_takes_h_max(self):
+        proc = run_cli("decompose", "--k", "2", "--n", "5", "--algorithm", "exact",
+                       "--h-max", "2")
+        assert proc.returncode == 4
+        assert "no representation of 5 with <= 2 terms" in proc.stderr
+
     def test_memory_budget_read_where_declared(self, capsys):
         assert main(["survey", "--kind", "coverage-threshold", "--r-max", "100",
                      "--memory-budget", "1"]) == 3
@@ -161,11 +171,24 @@ class TestExplicitZeros:
          "energy --c takes no --top, --index-bound, --convention"),
         (["energy", "--k", "2", "--h", "2", "--x", "300", "--x", "600"],
          "energy takes a single --x"),
+        (["energy", "--k", "2", "--h", "2", "--x", "10", "--c", "1/0"],
+         "cannot read parameter 'c' from '1/0'"),
+        (["survey", "--kind", "restricted-sums", "--k", "2", "--h", "2", "--x", "10",
+          "--c", "1/0"], "cannot read parameter 'c' from '1/0'"),
+        (["decompose", "--k", "2", "--n", "11", "--threads", "0"], "--threads must be >= 1"),
+        (["min-rep", "--k", "2", "--n", "11", "--threads", "0"], "--threads must be >= 1"),
+        (["decompose", "--k", "2", "--n", "11", "--h-max", "1"],
+         "decompose --algorithm greedy takes no --h-max"),
+        (["decompose", "--k", "3", "--n", "17", "--algorithm", "greedy", "--h-max", "7"],
+         "decompose --algorithm greedy takes no --h-max"),
     ], ids=["min-rep-h-max", "decompose-exact-h-max", "survey-H-max-witnesses",
             "survey-H-n-min", "coverage-k", "min-rep-no-n", "min-rep-command-no-n",
             "survey-H-no-max", "restricted-sums-no-x", "ratio-no-x", "fit-no-x",
             "energy-repeated-x", "ratio-foreign-options", "energy-mode",
-            "energy-command-c-foreign-options", "energy-command-repeated-x"])
+            "energy-command-c-foreign-options", "energy-command-repeated-x",
+            "energy-command-c-zero-denominator", "restricted-sums-c-zero-denominator",
+            "decompose-threads-0", "min-rep-threads-0", "decompose-greedy-h-max",
+            "decompose-explicit-greedy-h-max"])
     def test_zero_is_rejected(self, argv, message, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()

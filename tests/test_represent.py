@@ -202,9 +202,6 @@ class TestGreedy:
         chain = greedy_chain(10**6, 4)
         assert sum(binom(n, 4) for n in chain) == 10**6
 
-    def test_chain_respects_cap(self):
-        assert greedy_chain(17, 3, max_terms=2) is None
-
 
 class TestTwoTriangular:
     def test_hand_values(self):
@@ -286,6 +283,19 @@ class TestDecompose:
         for n in range(1, 10001):
             rep = decompose_k2(n)
             assert rep is not None and len(rep) <= 3, n
+
+    def test_constructive_routes_are_the_bounded_search(self):
+        # each constructive route answers with the first hit of the search
+        # within 3 or 7 terms, whose first branch is the greedy peel
+        rng = np.random.default_rng(16)
+        targets = [*range(1, 3001), *rng.integers(3001, 10**12, size=100).tolist()]
+        for n in targets:
+            for distinct in (False, True):
+                rep = decompose_k2(n, "distinct" if distinct else "repeats")
+                assert (None if rep is None else rep.indices) == reference_search(
+                    n, 2, 3, distinct
+                ), (n, distinct)
+            assert decompose_k3(n).indices == reference_search(n, 3, 7, False), n
 
     def test_k3_hand_values(self):
         assert decompose_k3(10).values == (10,)
