@@ -66,7 +66,9 @@ def _iroot(m: int, k: int) -> int:
 def floor_index(k: int, bound: int) -> int:
     """Largest n with C(n, k) <= bound, for k >= 1 and bound >= 1.
 
-    bound >= 1 guarantees n = k qualifies. Orders 1 and 2 have closed forms.
+    bound >= 1 guarantees n = k qualifies. Orders 1 and 2 have closed forms;
+    order 2's is exact, since n(n-1)/2 <= bound iff 2n - 1 <= sqrt(8 bound + 1)
+    and floor((1 + isqrt(m)) / 2) = floor((1 + sqrt(m)) / 2).
     Higher orders start from (k! bound) ** (1/k) + (k - 1) / 2, which AM-GM
     puts below the answer plus one and close to it, and correct it with
     exact binom steps. The root is a float while k! bound stays small enough
@@ -78,12 +80,7 @@ def floor_index(k: int, bound: int) -> int:
     if k == 1:
         return bound
     if k == 2:
-        n = (1 + math.isqrt(8 * bound + 1)) // 2
-        while n * (n - 1) // 2 > bound:
-            n -= 1
-        while (n + 1) * n // 2 <= bound:
-            n += 1
-        return n
+        return (1 + math.isqrt(8 * bound + 1)) // 2
     scaled = math.factorial(k) * bound
     if scaled.bit_length() <= min(_FLOAT_ROOT_BITS * k, 1000):
         n = int(scaled ** (1 / k) + (k - 1) / 2)
@@ -105,11 +102,14 @@ def count_upto(k: int, bound: int) -> int:
 def asymptotic_ratio(k: int, bound: int) -> float:
     """count_upto(k, X) divided by its leading-order size (k!)^(1/k) X^(1/k).
 
-    Diagnostic only; the return value is a float.
+    Diagnostic only; the return value is a float. Where k! or X is past
+    the float range, the same ratio is taken from logarithms.
     """
     exact = count_upto(k, bound)
-    leading = math.factorial(k) ** (1.0 / k) * float(bound) ** (1.0 / k)
-    return exact / leading
+    try:
+        return exact / (math.factorial(k) ** (1.0 / k) * float(bound) ** (1.0 / k))
+    except OverflowError:
+        return math.exp(math.log(exact) - (math.lgamma(k + 1) + math.log(bound)) / k)
 
 
 def gap(k: int, n: int) -> int:

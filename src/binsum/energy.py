@@ -32,13 +32,15 @@ Three interchangeable tally strategies produce identical (sums, counts):
             (cost len**j + (h-j) * len * h * max, split over threads).
 
 "auto" uses direct for h <= 2, then convolve when the dense array fits the
-budget, then mitm. Floats never decide a count.
+budget, then mitm. The chosen strategy's budget is checked from the number
+of values and the largest one alone, so an over-budget request is refused
+before its values are listed. Floats never decide a count.
 """
 from __future__ import annotations
 
 import random
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -106,25 +108,13 @@ def _resolve_sequence(
     return SEQUENCES[name](k)
 
 
-def _admissible_values(seq: IncreasingSequence, index_bound: int) -> list[int]:
-    if index_bound < seq.first_index:
-        raise ValueError(
-            f"index_bound must be >= {seq.first_index}, got {index_bound}"
-        )
-    return [seq.value(n) for n in range(seq.first_index, index_bound + 1)]
+def _tally_dtype(count: int, top: int, h: int) -> type:
+    """int64 when no sum and no count of an h-fold tally of count values up
+    to top can wrap, else object.
 
-
-def _fits_int64(values: list[int], h: int) -> bool:
-    return h * values[-1] < 2**62
-
-
-def _tally_dtype(values: list[int], h: int) -> type:
-    """int64 when no sum and no count of an h-fold tally can wrap, else object.
-
-    Counts are bounded by the tuple total len(values)**h, sums by
-    h * values[-1].
+    Counts are bounded by the tuple total count**h, sums by h * top.
     """
-    if len(values) ** h < 2**63 and _fits_int64(values, h):
+    if count**h < 2**63 and h * top < 2**62:
         return np.int64
     return object
 
@@ -136,22 +126,9 @@ def _ceil_div(a: int, b: int) -> int:
 Tally = tuple[np.ndarray, np.ndarray]
 
 
-def _tally_direct(values: list[int], h: int, budget: int, dtype: type) -> Tally:
+def _tally_direct(values: list[int], h: int, dtype: type) -> Tally:
     """Full h-fold enumeration. The oracle the other strategies must match."""
     tuples = len(values) ** h
-    if tuples > budget:
-        raise ResourceBudgetError(
-            "direct enumeration exceeds the tuple budget",
-            required=tuples,
-            budget=budget,
-        )
-    if dtype is object and h > 1 and tuples > _PYTHON_FALLBACK_BUDGET:
-        raise ResourceBudgetError(
-            "direct enumeration of oversized values exceeds the "
-            "Python-int budget",
-            required=tuples,
-            budget=_PYTHON_FALLBACK_BUDGET,
-        )
     arr = np.asarray(values, dtype=dtype)
     sums = arr
     for _ in range(h - 1):
@@ -183,10 +160,10 @@ def _combine(left: Tally, right: Tally, budget: int) -> Tally:
     # a sorted copy, 32 B per pair; a dense int64 array of at most four
     # cells per pair holds no more and is cheaper. Each side's keys are
     # distinct, so every fancy-index add touches distinct cells.
+    # The loop runs over the left keys; mitm's left half is the smaller
+    # fold, and a j-fold sumset has no more elements than the (j+1)-fold.
     span = int(lk[-1]) + int(rk[-1]) + 1
     if lc.dtype != object and span <= 4 * pairs:
-        if len(lk) > len(rk):
-            (lk, lc), (rk, rc) = right, left
         dense = np.zeros(span, dtype=np.int64)
         for key, weight in zip(lk.tolist(), lc.tolist()):
             dense[key + rk] += weight * rc
@@ -204,11 +181,11 @@ def _combine(left: Tally, right: Tally, budget: int) -> Tally:
 def _tally_mitm(values: list[int], h: int, budget: int, dtype: type) -> Tally:
     """Meet in the middle: tallies for both halves of the tuple, convolved."""
     if h == 1:
-        return _tally_direct(values, 1, budget, dtype)
+        return _tally_direct(values, 1, dtype)
     left_h = h // 2
     right_h = h - left_h
-    left = _tally_direct(values, left_h, budget, dtype)
-    right = left if right_h == left_h else _tally_direct(values, right_h, budget, dtype)
+    left = _tally_direct(values, left_h, dtype)
+    right = left if right_h == left_h else _tally_direct(values, right_h, dtype)
     return _combine(left, right, budget)
 
 
@@ -393,19 +370,6 @@ def _dense_counts(
     every count fits int32 and its byte estimate fits the budget;
     otherwise, or when its certificate fails, the integer fold.
     """
-    if not _fits_int64(values, h):
-        raise ResourceBudgetError(
-            "dense convolution needs sums below 2**62",
-            required=h * values[-1],
-            budget=2**62,
-        )
-    top = h * values[-1] + 1
-    if top > dense_budget:
-        raise ResourceBudgetError(
-            "dense convolution exceeds the cell budget",
-            required=top,
-            budget=dense_budget,
-        )
     if (
         (h - _counted_factors(values, h)) * len(values) >= _FFT_CROSSOVER
         and len(values) ** (h - 1) < 2**31
@@ -417,14 +381,42 @@ def _dense_counts(
     return _fold_counts(values, h, threads)
 
 
-def _pick_strategy(
-    values: list[int], h: int, enumeration_budget: int, dense_budget: int
+def _admit(
+    count: int, top: int, h: int, strategy: str, enumeration_budget: int, dense_budget: int
 ) -> str:
-    if h <= 2 and len(values) ** h <= enumeration_budget:
-        return "direct"
-    if _fits_int64(values, h) and h * values[-1] + 1 <= dense_budget:
-        return "convolve"
-    return "mitm"
+    """The strategy that tallies h-fold sums of count values, the largest
+    top: the one asked, or auto's pick. Raises ResourceBudgetError where
+    its budget refuses the request.
+
+    Only count and top are read, so a request is refused before any list
+    of values is built. direct enumerates count**h tuples and mitm the
+    count**(h - h//2) of its larger half. Each half tally has at least
+    count sums, so mitm's convolution crosses at least count**2 pairs;
+    _combine checks the exact number. convolve holds h * top + 1 cells.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    # convolve's int64 sums need h * top < 2**62, so no more cells than that
+    cells, cell_budget = h * top + 1, min(dense_budget, 2**62)
+    if strategy == "auto":
+        strategy = ("direct" if h <= 2 and count**h <= enumeration_budget
+                    else "convolve" if cells <= cell_budget else "mitm")
+    if strategy == "convolve":
+        checks = [("dense convolution exceeds the cell budget", cells, cell_budget)]
+    else:
+        width = h if strategy == "direct" else h - h // 2
+        tuples = count**width
+        checks = [("direct enumeration exceeds the tuple budget", tuples, enumeration_budget)]
+        if width > 1 and _tally_dtype(count, top, h) is object:
+            checks.append(("direct enumeration of oversized values exceeds the "
+                           "Python-int budget", tuples, _PYTHON_FALLBACK_BUDGET))
+        if strategy == "mitm" and h > 1:
+            checks.append(("tally convolution exceeds the pair budget", count**2,
+                           enumeration_budget))
+    for message, required, budget in checks:
+        if required > budget:
+            raise ResourceBudgetError(message, required=required, budget=budget)
+    return strategy
 
 
 def _tally(
@@ -437,18 +429,35 @@ def _tally(
 ) -> Tally:
     """Dispatch to one strategy; every strategy returns the same exact
     (sums, counts) pair, in the dtype _tally_dtype picks."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if strategy == "auto":
-        strategy = _pick_strategy(values, h, enumeration_budget, dense_budget)
-    dtype = _tally_dtype(values, h)
+    count, top = len(values), values[-1]
+    strategy = _admit(count, top, h, strategy, enumeration_budget, dense_budget)
+    dtype = _tally_dtype(count, top, h)
     if strategy == "direct":
-        return _tally_direct(values, h, enumeration_budget, dtype)
+        return _tally_direct(values, h, dtype)
     if strategy == "mitm":
         return _tally_mitm(values, h, enumeration_budget, dtype)
     dense = _dense_counts(values, h, dense_budget, threads)
     keys = np.flatnonzero(dense)
     return keys.astype(dtype, copy=False), dense[keys].astype(dtype, copy=False)
+
+
+def _sequence_tally(
+    seq: IncreasingSequence, h: int, index_bound: int, strategy: str = "auto", threads: int = 1
+) -> Tally:
+    """The tally of h-fold sums of seq's values at indices up to
+    index_bound. The strategy is admitted before the values are listed."""
+    if h < 1:
+        raise ValueError(f"arity must be h >= 1, got {h}")
+    if index_bound < seq.first_index:
+        raise ValueError(
+            f"index_bound must be >= {seq.first_index}, got {index_bound}"
+        )
+    strategy = _admit(
+        index_bound - seq.first_index + 1, seq.value(index_bound), h, strategy,
+        DEFAULT_ENUMERATION_BUDGET, DEFAULT_DENSE_BUDGET,
+    )
+    values = [seq.value(n) for n in range(seq.first_index, index_bound + 1)]
+    return _tally(values, h, strategy, threads=threads)
 
 
 def multiplicity_map(
@@ -466,11 +475,8 @@ def multiplicity_map(
     All strategies return identical exact counts; see the module docstring
     for their cost profiles.
     """
-    if h < 1:
-        raise ValueError(f"arity must be h >= 1, got {h}")
     seq = _resolve_sequence(k, sequence)
-    values = _admissible_values(seq, index_bound)
-    sums, counts = _tally(values, h, strategy, threads=threads)
+    sums, counts = _sequence_tally(seq, h, index_bound, strategy, threads)
     return dict(zip(sums.tolist(), counts.tolist()))
 
 
@@ -509,6 +515,8 @@ class EnergyReport:
     sum of r(s)**2, and cs_lower_bound the Cauchy-Schwarz floor
     ceil(total**2 / energy) on the number of distinct sums. All fields are
     exact; the defining inequalities are checked at construction.
+    extremes holds the top sums by multiplicity as (s, r(s)), r descending
+    then s ascending, when energy_report was asked for them.
     """
 
     order: int
@@ -521,6 +529,7 @@ class EnergyReport:
     distinct_sums: int
     max_multiplicity: int
     cs_lower_bound: int
+    extremes: list[tuple[int, int]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         assert self.total_tuples == self.admissible_count**self.arity
@@ -529,49 +538,36 @@ class EnergyReport:
         assert self.distinct_sums >= self.cs_lower_bound
 
 
-def _report_and_extremes(
-    k: int,
-    h: int,
-    index_bound: int,
-    top: int,
-    *,
-    sequence: IncreasingSequence | str | None = None,
-    threads: int = 1,
-) -> tuple[EnergyReport, list[tuple[int, int]]]:
-    """energy_report and the top multiplicity_extremes (none for top=0),
-    both derived from one tally."""
-    if h < 1:
-        raise ValueError(f"arity must be h >= 1, got {h}")
-    seq = _resolve_sequence(k, sequence)
-    values = _admissible_values(seq, index_bound)
-    tally = _tally(values, h, threads=threads)
-    total, energy, distinct, max_mult = _aggregate(tally)
-    report = EnergyReport(
-        order=k,
-        arity=h,
-        index_bound=index_bound,
-        sequence=seq.kind,
-        admissible_count=len(values),
-        total_tuples=total,
-        energy=energy,
-        distinct_sums=distinct,
-        max_multiplicity=max_mult,
-        cs_lower_bound=_ceil_div(total * total, energy),
-    )
-    return report, _top(tally, top) if top > 0 else []
-
-
 def energy_report(
     k: int,
     h: int,
     index_bound: int,
     *,
+    top: int = 0,
     sequence: IncreasingSequence | str | None = None,
     threads: int = 1,
 ) -> EnergyReport:
-    """Exact multiplicity aggregates for h-fold sums up to index_bound."""
-    report, _ = _report_and_extremes(k, h, index_bound, 0, sequence=sequence, threads=threads)
-    return report
+    """Exact multiplicity aggregates for h-fold sums up to index_bound.
+
+    With top > 0 the report also holds the top sums by multiplicity (see
+    multiplicity_extremes), read from the same tally.
+    """
+    seq = _resolve_sequence(k, sequence)
+    tally = _sequence_tally(seq, h, index_bound, threads=threads)
+    total, energy, distinct, max_mult = _aggregate(tally)
+    return EnergyReport(
+        order=k,
+        arity=h,
+        index_bound=index_bound,
+        sequence=seq.kind,
+        admissible_count=index_bound - seq.first_index + 1,
+        total_tuples=total,
+        energy=energy,
+        distinct_sums=distinct,
+        max_multiplicity=max_mult,
+        cs_lower_bound=_ceil_div(total * total, energy),
+        extremes=_top(tally, top) if top > 0 else [],
+    )
 
 
 def index_bound_for(
@@ -670,9 +666,7 @@ def restricted_distinct_sums(
     assert spec.arity * seq.value(max_index) <= (
         spec.fraction.numerator * spec.budget // spec.fraction.denominator
     ) <= spec.budget
-    report, _ = _report_and_extremes(
-        spec.order, spec.arity, max_index, 0, sequence=seq, threads=threads
-    )
+    report = energy_report(spec.order, spec.arity, max_index, sequence=seq, threads=threads)
     count = report.admissible_count
     return RestrictedReport(
         spec=spec,
@@ -755,10 +749,11 @@ def multiplicity_extremes(
     threads: int = 1,
 ) -> list[tuple[int, int]]:
     """The top sums by multiplicity: (s, r(s)) with r descending, ties by
-    smaller s first."""
+    smaller s first. These are energy_report(..., top=top).extremes; a
+    caller that wants the aggregates too should ask energy_report, which
+    tallies once for both."""
     if top < 1:
         raise ValueError(f"top must be >= 1, got {top}")
-    _, extremes = _report_and_extremes(
-        k, h, index_bound, top, sequence=sequence, threads=threads
-    )
-    return extremes
+    return energy_report(
+        k, h, index_bound, top=top, sequence=sequence, threads=threads
+    ).extremes

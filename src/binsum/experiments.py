@@ -4,7 +4,11 @@ Each experiment kind is declared in two tables: ``records.CSV_FIELDS`` names
 its parameters and results, and ``KINDS`` holds, in the same order, its
 parameter defaults, its cross-parameter check, its runner (a results dict
 with every schema field, None where not applicable) and its console
-summary. Each parameter name has one conversion and one rule in ``_RULES``,
+summary. Each runner calls one public function of ``binom``, ``represent``
+or ``energy`` once, so a kind computes exactly what the library exports:
+``energy`` takes its extremes from the same ``energy_report`` tally, and
+``coverage-threshold`` both modes from one ``sumset_coverage_threshold``
+scan. Each parameter name has one conversion and one rule in ``_RULES``,
 whichever kind takes it.
 
 ``normalize_parameters`` rejects names outside the schema, converts each
@@ -149,11 +153,11 @@ def _run_energy(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
         bound = energy_mod.index_bound_for(
             params["k"], params["x"], params["convention"], sequence=params["sequence"]
         )
-    report, extremes = energy_mod._report_and_extremes(
+    report = energy_mod.energy_report(
         params["k"],
         params["h"],
         bound,
-        params["top"],
+        top=params["top"],
         sequence=params["sequence"],
         threads=knobs.threads,
     )
@@ -165,7 +169,7 @@ def _run_energy(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
         "distinct_sums": report.distinct_sums,
         "max_multiplicity": report.max_multiplicity,
         "cs_lower_bound": report.cs_lower_bound,
-        "extremes": [list(pair) for pair in extremes] if params["top"] > 0 else None,
+        "extremes": [list(pair) for pair in report.extremes] if params["top"] > 0 else None,
     }
 
 
@@ -215,7 +219,9 @@ def _check_coverage(p: dict[str, Any]) -> None:
 
 
 def _run_coverage(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
-    repeats, distinct = represent._coverage_thresholds(params["r_max"], knobs.memory_budget)
+    repeats, distinct = represent.sumset_coverage_threshold(
+        params["r_max"], memory_budget=knobs.memory_budget
+    )
     return {"repeats_threshold": repeats, "distinct_threshold": distinct}
 
 

@@ -52,6 +52,7 @@ import bisect
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +64,7 @@ __all__ = [
     "Representation",
     "MinRepTable",
     "MinRepSurvey",
+    "CoverageThresholds",
     "EXCEEDS_CAP",
     "CAP_MAX",
     "greedy_leading_term",
@@ -865,27 +867,44 @@ def survey_min_rep(
     )
 
 
+class CoverageThresholds(NamedTuple):
+    """sumset_coverage_threshold's answer in each admission mode."""
+
+    repeats: int
+    distinct: int
+
+
 def sumset_coverage_threshold(
-    r_max: int,
-    mode: SearchMode | str = SearchMode.REPEATS,
-    *,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> int:
+    r_max: int, *, memory_budget: int = DEFAULT_MEMORY_BUDGET
+) -> CoverageThresholds:
     """Largest R <= r_max whose interval [ceil(R/2), R] misses some sum of
-    at most two triangular numbers.
+    at most two triangular numbers, in repeats and in distinct mode.
 
     An uncovered integer m blocks every R in [m, 2m], so the answer is
     min(2 * m, r_max) for the largest uncovered m, and 0 when every interval
     is fully covered. Distinct mode requires the two indices to differ; a
     lone triangular number or 0 still counts as covered in both modes.
 
-    Both modes come from one scan, _coverage_thresholds.
+    Both answers come from one scan. The covered set is the packed layer of
+    0 and the triangular numbers up to r_max, grown once by _next_layer
+    through its distinct pair windows ([v, 2v - 1] from triangular v):
+    layer 2 of the order-2 distinct table. Repeats pairs add only the
+    doubles 2v, so their layer is the same set with those bits on. Each
+    answer is read from its layer's highest zero bit.
     """
-    mode = SearchMode.coerce(mode)
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    repeats, distinct = _coverage_thresholds(r_max, memory_budget)
-    return repeats if mode is SearchMode.REPEATS else distinct
+    cells = r_max + 1
+    words = -(-cells // 64)
+    required = _layer_bytes(words) + _COIN_BYTES * count_upto(2, r_max) + _CALL_BYTES
+    _check_budget(required, memory_budget, "coverage scan")
+    values = BinomialSequence(2).values_upto(r_max)
+    padded = np.zeros(words + 1, dtype=np.uint64)
+    reach = _set_bits(_with_padding(padded[1:], cells), [0, *values])
+    _next_layer(padded, values, SearchMode.DISTINCT)
+    distinct = _blocked_threshold(reach, r_max)
+    _set_bits(reach, [2 * v for v in values[: bisect.bisect_right(values, r_max // 2)]])
+    return CoverageThresholds(_blocked_threshold(reach, r_max), distinct)
 
 
 def _blocked_threshold(reach: np.ndarray, r_max: int) -> int:
@@ -898,26 +917,3 @@ def _blocked_threshold(reach: np.ndarray, r_max: int) -> int:
     w = reach.size - 1 - int(open_words[::-1].argmax())
     m = 64 * w + (_ALL ^ int(reach[w])).bit_length() - 1
     return min(2 * m, r_max)
-
-
-def _coverage_thresholds(r_max: int, memory_budget: int) -> tuple[int, int]:
-    """sumset_coverage_threshold(r_max) in repeats and in distinct mode.
-
-    The covered set is the packed layer of 0 and the triangular numbers up
-    to r_max, grown once by _next_layer through its distinct pair windows
-    ([v, 2v - 1] from triangular v): layer 2 of the order-2 distinct table.
-    Repeats pairs add only the doubles 2v, so their layer is the same set
-    with those bits on. Each answer is read from its layer's highest zero
-    bit.
-    """
-    cells = r_max + 1
-    words = -(-cells // 64)
-    required = _layer_bytes(words) + _COIN_BYTES * count_upto(2, r_max) + _CALL_BYTES
-    _check_budget(required, memory_budget, "coverage scan")
-    values = BinomialSequence(2).values_upto(r_max)
-    padded = np.zeros(words + 1, dtype=np.uint64)
-    reach = _set_bits(_with_padding(padded[1:], cells), [0, *values])
-    _next_layer(padded, values, SearchMode.DISTINCT)
-    distinct = _blocked_threshold(reach, r_max)
-    _set_bits(reach, [2 * v for v in values[: bisect.bisect_right(values, r_max // 2)]])
-    return _blocked_threshold(reach, r_max), distinct

@@ -217,8 +217,7 @@ def test_criterion_08_distinct_sums_growth_ladder():
 
 def test_criterion_09_coverage_threshold_regression():
     with criterion("09 two-triangular interval coverage threshold at 10^7"):
-        repeats = sumset_coverage_threshold(10**7, "repeats")
-        distinct = sumset_coverage_threshold(10**7, "distinct")
+        repeats, distinct = sumset_coverage_threshold(10**7)
         assert isinstance(repeats, int) and isinstance(distinct, int)
         # regression: both modes still miss integers just above R/2 at this
         # scale, so the threshold equals R_max itself

@@ -93,7 +93,7 @@ def bracket_floor_index(k: int, bound: int) -> int:
 
 def test_floor_index_matches_bracket_reference():
     rng = random.Random(20260)
-    for k in range(3, 11):
+    for k in range(2, 11):
         indices = list(range(k, k + 150)) + [rng.randrange(k, 10**6) for _ in range(200)]
         bounds = [rng.randrange(1, 10 ** rng.randrange(1, 61)) for _ in range(200)]
         for n in indices + [bracket_floor_index(k, b) for b in bounds]:
@@ -150,13 +150,17 @@ def test_floor_index_count_consistency(k, bound):
 
 
 def test_asymptotic_ratio_exact_for_order_one():
-    # count_upto(1, X) = X and the leading term is exactly X
+    # count_upto(1, X) = X and the leading term is exactly X, also past
+    # the float range, where the ratio is taken from logarithms
     assert asymptotic_ratio(1, 1000) == 1.0
+    assert asymptotic_ratio(1, 10**400) == 1.0
 
 
 def test_asymptotic_ratio_approaches_one():
     assert 0.98 <= asymptotic_ratio(2, 10**6) <= 1.02
     assert 0.98 <= asymptotic_ratio(3, 10**9) <= 1.02
+    for k in (2, 3):
+        assert abs(asymptotic_ratio(k, 10**400) - 1.0) < 1e-12, k
 
 
 def test_gap_hand_values():

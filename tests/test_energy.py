@@ -2,6 +2,7 @@
 import itertools
 import random
 import sys
+import time
 import tracemalloc
 from concurrent import futures
 from fractions import Fraction
@@ -139,6 +140,27 @@ class TestMultiplicityMap:
         with pytest.raises(ResourceBudgetError):
             _tally(values, 3, "convolve", dense_budget=10)
 
+    def test_refused_before_the_values_are_listed(self):
+        # mitm's larger half needs (3 * 10**6)**2 tuples, and at h = 2 its
+        # convolution as many pairs; the refusal reads only the count and
+        # the largest value, never 3 * 10**6 binomials
+        for refused in (
+            lambda: energy_report(2, 3, 3 * 10**6),
+            lambda: energy_report(2, 2, 3 * 10**6),
+            lambda: multiplicity_map(2, 3, 3 * 10**6),
+            lambda: multiplicity_map(2, 2, 3 * 10**6, strategy="convolve"),
+        ):
+            tracemalloc.start()
+            try:
+                started = time.perf_counter()
+                with pytest.raises(ResourceBudgetError):
+                    refused()
+                elapsed = time.perf_counter() - started
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert elapsed < 0.5 and peak < 5 * 2**20, (elapsed, peak)
+
     def test_bad_strategy_rejected(self):
         with pytest.raises(ValueError):
             multiplicity_map(2, 2, 4, strategy="fft")
@@ -147,6 +169,7 @@ class TestMultiplicityMap:
 class TestEnergyReport:
     def test_hand_report(self):
         r = energy_report(2, 2, index_bound=4)
+        assert r.extremes == []
         assert r.admissible_count == 3
         assert r.total_tuples == 9
         assert r.energy == 15
@@ -337,8 +360,19 @@ class TestExtremes:
         tallies = {s: _tally(values, 3, s) for s in ("direct", "mitm", "convolve")}
         for top in range(1, 40):
             assert multiplicity_extremes(2, 3, 25, top) == full[:top], top
+            assert energy_report(2, 3, 25, top=top).extremes == full[:top], top
             for strategy, tally in tallies.items():
                 assert _top(tally, top) == full[:top], (top, strategy)
+
+    def test_energy_kind_tallies_once_for_its_extremes(self, monkeypatch):
+        arities = []
+        real = energy._tally
+        monkeypatch.setattr(
+            energy, "_tally", lambda values, h, *a, **kw: arities.append(h) or real(values, h, *a, **kw)
+        )
+        record, _ = run_experiment("energy", {"k": 2, "h": 3, "index_bound": 30, "top": 5})
+        assert arities == [3]
+        assert record.results["extremes"] == [list(p) for p in multiplicity_extremes(2, 3, 30, 5)]
 
     def test_power_sequence_cube_collisions(self):
         # first taxicab number: 1729 = 1 + 1728 = 729 + 1000
@@ -547,7 +581,7 @@ class TestCountingTallies:
             assert (8 * span <= 9 * len(values)) == dense
             for dtype in (np.int64, object):
                 counted.clear()
-                sums, counts = energy._tally_direct(values, 1, 100, dtype)
+                sums, counts = energy._tally_direct(values, 1, dtype)
                 assert counted == (["bincount"] if dense and dtype is np.int64 else [])
                 assert sums.dtype == counts.dtype == dtype
                 assert sums.tolist() == values and counts.tolist() == [1] * 16
@@ -555,7 +589,7 @@ class TestCountingTallies:
         for top, dense in ((8, True), (9, False)):
             values = [1, 2, 3, top]
             counted.clear()
-            sums, counts = energy._tally_direct(values, 2, 100, np.int64)
+            sums, counts = energy._tally_direct(values, 2, np.int64)
             assert counted == (["bincount"] if dense else [])
             assert counts.dtype == np.int64
             assert dict(zip(sums.tolist(), counts.tolist())) == oracle_tally(values, 2)

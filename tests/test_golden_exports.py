@@ -43,6 +43,7 @@ CASES = {
     "energy": ["energy", "--k", "2", "--h", "3", "--index-bound", "30", "--top", "3"],
     "energy-x": ["energy", "--k", "2", "--h", "2", "--x", "5000", "--convention", "index",
                  "--sequence", "power"],
+    "energy-x-value": ["energy", "--k", "2", "--h", "2", "--x", "5000"],
     "energy-restricted": ["energy", "--k", "2", "--h", "2", "--x", "1000", "--c", "1/3"],
     "coverage": ["coverage", "--r-max", "300", "--mode", "distinct"],
     "fit": ["fit", "--k", "2", "--h", "2", "--x", "100", "--x", "1000", "--x", "10000",
@@ -92,6 +93,12 @@ GOLDEN = {
     ("energy-x", "csv"): (
         "ca70320b006700a8bfe73326bdd096c1336f6acb3938002263763ca9f7334695",
         "a0eaabea82a8326b3aa5c1c68ac5f2813c74093a132950053541100ed74ca9b4"),
+    ("energy-x-value", "json"): (
+        "d6e1a87a234edc638596111b37a841db16e1dd7514e44a3866a43dbf74c9f7e3",
+        "7ae7df6d81b5cadfe4bb27014b4a598fff8148c6984965b55529d27845c40264"),
+    ("energy-x-value", "csv"): (
+        "f1856a7231e74152a33bb22dfd0cafb44562df753907defb46cc0a31466f79ec",
+        "7ae7df6d81b5cadfe4bb27014b4a598fff8148c6984965b55529d27845c40264"),
     ("fit", "json"): (
         "9bd0c4296487fc40b1f9a387584eba963a1609f982f5220763cb8226980b51fc",
         "62ea63c3e1bf925bbaa5050e944382e52b258e10a85fdbc78cd612889fbd989b"),

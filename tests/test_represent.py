@@ -858,37 +858,35 @@ class TestCoverage:
     def test_hand_value_small(self):
         # sums of <= 2 triangulars reach {0,1,2,3,4,6,7,9,10,...}; 5 and 8
         # are missed, so the largest blocked R under 10 is 10 itself
-        assert sumset_coverage_threshold(10) == 10
-        assert sumset_coverage_threshold(10, "distinct") == 10
+        assert sumset_coverage_threshold(10) == (10, 10)
+        assert sumset_coverage_threshold(10).distinct == 10
 
     def test_matches_enumeration(self):
         # every r_max up to 600: all byte phases of the window ends, and
         # several word ends
         values = BinomialSequence(2).values_upto(600)
-        for mode in ("repeats", "distinct"):
-            pairs = (
-                itertools.combinations_with_replacement(values, 2)
-                if mode == "repeats"
-                else itertools.combinations(values, 2)
-            )
-            reach = {0, *values} | {a + b for a, b in pairs}
-            uncovered = 0  # the largest uncovered m <= r_max, 0 for none
-            for r_max in range(1, 601):
-                if r_max not in reach:
-                    uncovered = r_max
-                got = sumset_coverage_threshold(r_max, mode)
-                assert got == min(2 * uncovered, r_max), (r_max, mode)
+        pairs = {
+            "repeats": itertools.combinations_with_replacement(values, 2),
+            "distinct": itertools.combinations(values, 2),
+        }
+        reach = {mode: {0, *values} | {a + b for a, b in p} for mode, p in pairs.items()}
+        uncovered = dict.fromkeys(pairs, 0)  # the largest uncovered m <= r_max, 0 for none
+        for r_max in range(1, 601):
+            got = sumset_coverage_threshold(r_max)._asdict()
+            for mode in pairs:
+                if r_max not in reach[mode]:
+                    uncovered[mode] = r_max
+                assert got[mode] == min(2 * uncovered[mode], r_max), (r_max, mode)
 
     def test_memory_budget_enforced(self):
         with pytest.raises(ResourceBudgetError):
             sumset_coverage_threshold(10**6, memory_budget=100)
 
-    @pytest.mark.parametrize("mode", ["repeats", "distinct"])
-    def test_traced_peak_within_estimate(self, mode):
+    def test_traced_peak_within_estimate(self):
         r_max = 2 * 10**5
         with pytest.raises(ResourceBudgetError) as info:
-            sumset_coverage_threshold(r_max, mode, memory_budget=0)
-        peak = traced_peak(lambda: sumset_coverage_threshold(r_max, mode))
+            sumset_coverage_threshold(r_max, memory_budget=0)
+        peak = traced_peak(lambda: sumset_coverage_threshold(r_max))
         assert peak <= info.value.required
 
 
