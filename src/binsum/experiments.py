@@ -4,11 +4,11 @@ Each experiment kind is declared in two tables: ``records.CSV_FIELDS`` names
 its parameters and results, and ``KINDS`` holds, in the same order, its
 parameter defaults, its cross-parameter check, its runner (a results dict
 with every schema field, None where not applicable) and its console
-summary. Each runner calls one public function of ``binom``, ``represent``
-or ``energy`` once, so a kind computes exactly what the library exports:
-``energy`` takes its extremes from the same ``energy_report`` tally, and
-``coverage-threshold`` both modes from one ``sumset_coverage_threshold``
-scan. Each parameter name has one conversion and one rule in ``_RULES``,
+summary. Runners call only public functions of ``binom``, ``represent``
+and ``energy``, so a kind computes exactly what the library exports, and
+each tallies or scans once: ``energy`` takes its extremes from its
+``energy_report`` tally, and ``coverage-threshold`` both modes from one
+``sumset_coverage_threshold`` scan. Each parameter name has one conversion and one rule in ``_RULES``,
 whichever kind takes it.
 
 ``normalize_parameters`` rejects names outside the schema, converts each
