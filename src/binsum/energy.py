@@ -31,10 +31,13 @@ Three interchangeable tally strategies produce identical (sums, counts):
             fold in the other h - j factors with integer shifted adds
             (cost len**j + (h-j) * len * h * max, split over threads).
 
-"auto" uses direct for h <= 2, then convolve when the dense array fits the
-budget, then mitm. The chosen strategy's budget is checked from the number
-of values and the largest one alone, so an over-budget request is refused
-before its values are listed. Floats never decide a count.
+"auto" uses direct for h <= 2, then convolve where it is admitted, then
+mitm. convolve is admitted when no count of the fold can pass int64
+(len**(h-1) < 2**63) and its two count arrays fit the byte budget. _admit
+decides the kernel (direct, mitm, fft or fold), the tally's dtype and every
+budget from the number of values and the largest one alone, so an
+over-budget request is refused before its values are listed. Floats never
+decide a count.
 """
 from __future__ import annotations
 
@@ -71,9 +74,10 @@ _PYTHON_FALLBACK_BUDGET = 1_000_000
 # 400, a two-thread fold from about 500 to 600. At order 3, with millions
 # of cells, a one-thread fold still wins at 400 and a two-thread one at 500.
 _FFT_CROSSOVER = 500
-# The dense budget counts cells. At that many cells the fold holds two
-# int32 arrays, 8 B per cell, however many threads share it; the FFT
-# kernel may use as many bytes.
+# Each cell of the dense budget grants this many bytes. The fold holds two
+# count arrays however many threads share it: 8 B per cell at int32, 16 B
+# at int64, so an int64 fold gets half the cells. The FFT kernel may use as
+# many bytes.
 _BUDGET_CELL_BYTES = 8
 # A fold thread takes a slice of at least this many output cells: below
 # about 2 * 10**5 cells two threads were slower than one on a 2-core host,
@@ -106,17 +110,6 @@ def _resolve_sequence(
     if name not in SEQUENCES:
         raise ValueError(f"unknown sequence {sequence!r}")
     return SEQUENCES[name](k)
-
-
-def _tally_dtype(count: int, top: int, h: int) -> type:
-    """int64 when no sum and no count of an h-fold tally of count values up
-    to top can wrap, else object.
-
-    Counts are bounded by the tuple total count**h, sums by h * top.
-    """
-    if count**h < 2**63 and h * top < 2**62:
-        return np.int64
-    return object
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -203,7 +196,7 @@ def _smooth_length(cells: int) -> int:
     return best
 
 
-def _fft_bytes(values: list[int], h: int) -> int:
+def _fft_bytes(count: int, top: int, h: int) -> int:
     """Peak-byte estimate of _fft_counts: 40 B per transform cell.
 
     That is the float indicator, the spectrum, its power, the irfft output
@@ -213,7 +206,7 @@ def _fft_bytes(values: list[int], h: int) -> int:
     about 16 B per cell. 64 KiB per call cover the limb table and small
     objects.
     """
-    return 40 * _smooth_length(h * values[-1] + 1) + _CALL_BYTES
+    return 40 * _smooth_length(h * top + 1) + _CALL_BYTES
 
 
 def _power_limbs(x: int) -> np.ndarray:
@@ -283,8 +276,8 @@ def _fft_counts(values: list[int], h: int) -> np.ndarray | None:
     indicator[values] = 1.0
     spectrum = fft.rfft(indicator)
     del indicator
-    power = spectrum * spectrum
-    for _ in range(h - 2):
+    power = spectrum.copy()
+    for _ in range(h - 1):
         power *= spectrum
     del spectrum
     proposal = fft.irfft(power, length)
@@ -296,12 +289,12 @@ def _fft_counts(values: list[int], h: int) -> np.ndarray | None:
     return counts if _certify(counts, values, h, x) else None
 
 
-def _counted_factors(values: list[int], h: int) -> int:
+def _counted_factors(count: int, top: int, h: int) -> int:
     """How many factors _fold_counts counts instead of folding: the largest
-    j <= h whose len(values)**j sums fit the j-fold array's cells, where
-    counting them costs about one pass over that array."""
+    j <= h whose count**j sums of values up to top fit the j-fold array's
+    cells, where counting them costs about one pass over that array."""
     j = 1
-    while j < h and len(values) ** (j + 1) <= (j + 1) * values[-1] + 1:
+    while j < h and count ** (j + 1) <= (j + 1) * top + 1:
         j += 1
     return j
 
@@ -310,13 +303,14 @@ def _fold_counts(values: list[int], h: int, threads: int) -> np.ndarray:
     """Dense tally by repeated convolution, in exact integers.
 
     Cell s after folding i factors counts the ordered i-tuples summing to s.
-    The first _counted_factors(values, h) = j factors are counted at once:
-    the j-fold sums are scattered into the count array by np.add.at, in
-    chunks of _CALL_BYTES (or one row of len(values) sums, if larger). Each
-    further factor is len(values) shifted adds.
-    Counts are bounded by len(values)**(h-1) per cell, which picks the
-    dtype; at int32 no step holds more than _BUDGET_CELL_BYTES per cell of
-    the result, plus the (j-1)-fold sums and one chunk.
+    The first _counted_factors = j factors are counted at once: the j-fold
+    sums are scattered into the count array by np.add.at, in chunks of
+    _CALL_BYTES (or one row of len(values) sums, if larger). Each further
+    factor is len(values) shifted adds.
+    Counts are bounded by len(values)**(h-1) per cell, which picks int32 or
+    int64; _admit refuses the fold where that bound reaches 2**63. No step
+    holds more than two count arrays of the result's size, 8 B per cell at
+    int32 and 16 B at int64, plus the (j-1)-fold sums and one chunk.
 
     With threads, each fold step splits its output range into disjoint
     slices, one per worker, and each worker adds the part of every shifted
@@ -326,7 +320,7 @@ def _fold_counts(values: list[int], h: int, threads: int) -> np.ndarray:
     """
     dtype = np.int32 if len(values) ** (h - 1) < 2**31 else np.int64
     top = values[-1]
-    start = _counted_factors(values, h)
+    start = _counted_factors(len(values), top, h)
     arr = np.asarray(values, dtype=np.int64)
     heads = np.zeros(1, dtype=np.int64)
     for _ in range(start - 1):
@@ -360,63 +354,74 @@ def _fold_counts(values: list[int], h: int, threads: int) -> np.ndarray:
     return acc
 
 
-def _dense_counts(
-    values: list[int], h: int, dense_budget: int, threads: int = 1
-) -> np.ndarray:
-    """Dense array of tuple counts indexed by sum, exact.
-
-    Two kernels: the certified FFT once the fold's shifted adds per cell,
-    (h - _counted_factors(values, h)) * len(values), reach _FFT_CROSSOVER,
-    every count fits int32 and its byte estimate fits the budget;
-    otherwise, or when its certificate fails, the integer fold.
-    """
-    if (
-        (h - _counted_factors(values, h)) * len(values) >= _FFT_CROSSOVER
-        and len(values) ** (h - 1) < 2**31
-        and _fft_bytes(values, h) <= _BUDGET_CELL_BYTES * dense_budget
-    ):
-        counts = _fft_counts(values, h)
-        if counts is not None:
-            return counts
-    return _fold_counts(values, h, threads)
-
-
 def _admit(
     count: int, top: int, h: int, strategy: str, enumeration_budget: int, dense_budget: int
-) -> str:
-    """The strategy that tallies h-fold sums of count values, the largest
-    top: the one asked, or auto's pick. Raises ResourceBudgetError where
-    its budget refuses the request.
+) -> tuple[str, type]:
+    """The kernel that tallies h-fold sums of count values, the largest top,
+    and the tally's dtype. The kernel is direct, mitm, fft or fold: the
+    strategy asked, or auto's pick, with convolve run as one of its two
+    kernels. Raises ResourceBudgetError where the kernel's budget refuses.
 
     Only count and top are read, so a request is refused before any list
-    of values is built. direct enumerates count**h tuples and mitm the
-    count**(h - h//2) of its larger half. Each half tally has at least
-    count sums, so mitm's convolution crosses at least count**2 pairs;
-    _combine checks the exact number. convolve holds h * top + 1 cells.
+    of values is built. The tally is int64 when no sum (at most h * top)
+    and no count (at most count**h) can wrap, else object. direct
+    enumerates count**h tuples and mitm the count**(h - h//2) of its larger
+    half; mitm's convolution crosses at least count**2 pairs, and _combine
+    checks the exact number. The fold's counts reach count**(h-1) per cell,
+    so it is refused from 2**63; its two count arrays take 8 B per cell at
+    int32 and 16 B at int64. It runs as the certified FFT once its shifted
+    adds per cell reach _FFT_CROSSOVER, every count fits int32 and
+    _fft_bytes fits the same byte budget.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    # convolve's int64 sums need h * top < 2**62, so no more cells than that
-    cells, cell_budget = h * top + 1, min(dense_budget, 2**62)
+    dtype = np.int64 if count**h < 2**63 and h * top < 2**62 else object
+    widest = count ** (h - 1)
+    fold_bytes = (8 if widest < 2**31 else 16) * (h * top + 1)
+    # int64 sums need h * top < 2**62, so no more cells than that
+    byte_budget = _BUDGET_CELL_BYTES * min(dense_budget, 2**62)
+    convolve = [("dense convolution exceeds the byte budget", fold_bytes, byte_budget),
+                ("dense convolution counts can exceed int64", widest, 2**63 - 1)]
     if strategy == "auto":
         strategy = ("direct" if h <= 2 and count**h <= enumeration_budget
-                    else "convolve" if cells <= cell_budget else "mitm")
+                    else "convolve" if all(r <= b for _, r, b in convolve) else "mitm")
     if strategy == "convolve":
-        checks = [("dense convolution exceeds the cell budget", cells, cell_budget)]
+        checks = convolve
     else:
         width = h if strategy == "direct" else h - h // 2
         tuples = count**width
-        checks = [("direct enumeration exceeds the tuple budget", tuples, enumeration_budget)]
-        if width > 1 and _tally_dtype(count, top, h) is object:
-            checks.append(("direct enumeration of oversized values exceeds the "
-                           "Python-int budget", tuples, _PYTHON_FALLBACK_BUDGET))
+        what = "direct enumeration" if strategy == "direct" else "mitm's larger half"
+        checks = [(f"{what} exceeds the tuple budget", tuples, enumeration_budget)]
+        if width > 1 and dtype is object:
+            checks.append((f"{what} over oversized values exceeds the Python-int budget",
+                           tuples, _PYTHON_FALLBACK_BUDGET))
         if strategy == "mitm" and h > 1:
             checks.append(("tally convolution exceeds the pair budget", count**2,
                            enumeration_budget))
     for message, required, budget in checks:
         if required > budget:
             raise ResourceBudgetError(message, required=required, budget=budget)
-    return strategy
+    if strategy != "convolve":
+        return strategy, dtype
+    fft = ((h - _counted_factors(count, top, h)) * count >= _FFT_CROSSOVER
+           and widest < 2**31 and _fft_bytes(count, top, h) <= byte_budget)
+    return ("fft" if fft else "fold"), dtype
+
+
+def _run_kernel(
+    values: list[int], h: int, kernel: str, dtype: type, enumeration_budget: int, threads: int
+) -> Tally:
+    """The tally by the kernel _admit picked, in the dtype it picked. An
+    FFT proposal the certificate refuses is replaced by the fold."""
+    if kernel == "direct":
+        return _tally_direct(values, h, dtype)
+    if kernel == "mitm":
+        return _tally_mitm(values, h, enumeration_budget, dtype)
+    dense = _fft_counts(values, h) if kernel == "fft" else None
+    if dense is None:
+        dense = _fold_counts(values, h, threads)
+    keys = np.flatnonzero(dense)
+    return keys.astype(dtype, copy=False), dense[keys].astype(dtype, copy=False)
 
 
 def _tally(
@@ -427,18 +432,10 @@ def _tally(
     dense_budget: int = DEFAULT_DENSE_BUDGET,
     threads: int = 1,
 ) -> Tally:
-    """Dispatch to one strategy; every strategy returns the same exact
-    (sums, counts) pair, in the dtype _tally_dtype picks."""
-    count, top = len(values), values[-1]
-    strategy = _admit(count, top, h, strategy, enumeration_budget, dense_budget)
-    dtype = _tally_dtype(count, top, h)
-    if strategy == "direct":
-        return _tally_direct(values, h, dtype)
-    if strategy == "mitm":
-        return _tally_mitm(values, h, enumeration_budget, dtype)
-    dense = _dense_counts(values, h, dense_budget, threads)
-    keys = np.flatnonzero(dense)
-    return keys.astype(dtype, copy=False), dense[keys].astype(dtype, copy=False)
+    """Admit, then run; every strategy returns the same exact (sums,
+    counts) pair, in the dtype _admit picks."""
+    kernel, dtype = _admit(len(values), values[-1], h, strategy, enumeration_budget, dense_budget)
+    return _run_kernel(values, h, kernel, dtype, enumeration_budget, threads)
 
 
 def _sequence_tally(
@@ -452,12 +449,12 @@ def _sequence_tally(
         raise ValueError(
             f"index_bound must be >= {seq.first_index}, got {index_bound}"
         )
-    strategy = _admit(
+    kernel, dtype = _admit(
         index_bound - seq.first_index + 1, seq.value(index_bound), h, strategy,
         DEFAULT_ENUMERATION_BUDGET, DEFAULT_DENSE_BUDGET,
     )
     values = [seq.value(n) for n in range(seq.first_index, index_bound + 1)]
-    return _tally(values, h, strategy, threads=threads)
+    return _run_kernel(values, h, kernel, dtype, DEFAULT_ENUMERATION_BUDGET, threads)
 
 
 def multiplicity_map(

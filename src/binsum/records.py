@@ -7,8 +7,8 @@ field in any record consists solely of digits.
 
 Wall-clock duration is intentionally absent from the serialized forms:
 exports must be byte-identical across reruns and thread counts, and a
-timing field would break that. It stays on the in-memory record for
-console summaries only.
+timing field would break that. It stays on the in-memory record only, for
+callers that time their runs.
 """
 from __future__ import annotations
 

@@ -713,21 +713,6 @@ def _grid_bytes(cells: int, rows: int) -> int:
     return 24 * (rows + 1) * (words + 1) + 16 * words + cells
 
 
-def _table_bytes(k: int, cells: int, coins: int, cap: int, mode: SearchMode) -> int:
-    """Bytes min_rep_table charges before it allocates: the counts, the
-    coins and the first pass. A repeats table has one pass. A distinct
-    table's first pass is the prefix build, at most one pass at the cap over
-    the prefix; _distinct_counts checks every pass again as it comes."""
-    if k == 1:
-        return cells + _CALL_BYTES
-    if mode is SearchMode.REPEATS:
-        first = _layers_bytes(cells)
-    else:
-        prefix = (cells - 1) // 64 + 1 if cells > _PREFIX_BASE else cells
-        first = _grid_bytes(prefix, min(cap, coins))
-    return cells + first + _COIN_BYTES * coins + _CALL_BYTES
-
-
 def min_rep_table(
     k: int,
     range_end: int,
@@ -750,9 +735,11 @@ def min_rep_table(
     The counts equal one full-depth pass.
 
     Estimated working memory above the budget raises ResourceBudgetError
-    before any allocation: the counts, the coins and the first pass are
-    charged up front, and each later distinct pass is checked before it
-    allocates, so a refusal can come after the prefix is built.
+    before it is allocated. The counts, the coins and, for a repeats table,
+    its one pass are charged up front; each distinct pass, the innermost
+    prefix included, is checked just before it allocates, so a distinct
+    refusal can come after the counts are allocated, still within the
+    budget.
     """
     mode = SearchMode.coerce(mode)
     if k < 1:
@@ -764,7 +751,9 @@ def min_rep_table(
 
     # the largest index whose coin fits the range
     top = floor_index(k, range_end) if range_end else k - 1
-    _check_budget(_table_bytes(k, range_end + 1, top - k + 1, cap, mode), memory_budget)
+    held = range_end + 1 + (_COIN_BYTES * (top - k + 1) if k > 1 else 0) + _CALL_BYTES
+    repeats = k > 1 and mode is SearchMode.REPEATS
+    _check_budget(held + (_layers_bytes(range_end + 1) if repeats else 0), memory_budget)
 
     if k == 1:
         counts = np.ones(range_end + 1, dtype=np.uint8)
@@ -773,10 +762,9 @@ def min_rep_table(
 
     coins = [binom(n, k) for n in range(k, top + 1)]
     counts = np.empty(range_end + 1, dtype=np.uint8)
-    if mode is SearchMode.REPEATS:
+    if repeats:
         _layered_counts(counts, coins, cap, mode)
     else:
-        held = counts.size + _COIN_BYTES * len(coins) + _CALL_BYTES
         _distinct_counts(counts, coins, cap, held, memory_budget)
     return MinRepTable(k, range_end, cap, mode, counts)
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from binsum import (
     BinomialSequence,
+    ResourceBudgetError,
     RestrictedTupleSpec,
     asymptotic_ratio,
     binom,
@@ -28,9 +29,8 @@ from binsum import (
     survey_min_rep,
 )
 from binsum.energy import (
-    _BUDGET_CELL_BYTES,
     DEFAULT_DENSE_BUDGET,
-    _fft_bytes,
+    _admit,
     _fft_counts,
     _fold_counts,
     _tally,
@@ -136,7 +136,7 @@ def _square_sum(counts):
     return sum(c * c for c in counts.tolist())
 
 
-def test_criterion_06_moment_identities():
+def test_criterion_06_moment_identities(monkeypatch):
     with criterion("06 first/second moment identities and all-strategy equality"):
         checked = folded = transformed = 0
         for k, h, m in _moment_instances():
@@ -146,19 +146,23 @@ def test_criterion_06_moment_identities():
             sums, counts = _tally(values, h, "direct", 10**7, 0)
             tallies = {"mitm": _tally(values, h, "mitm", 10**7, 0)}
             dense = {}
-            if h * values[-1] + 1 <= DEFAULT_DENSE_BUDGET:
+            # convolve runs the fold wherever it is admitted, and the FFT
+            # wherever that is admitted once its crossover is set aside
+            with monkeypatch.context() as patch:
+                patch.setattr("binsum.energy._FFT_CROSSOVER", 0)
+                try:
+                    kernel, _ = _admit(count, values[-1], h, "convolve", 0, DEFAULT_DENSE_BUDGET)
+                except ResourceBudgetError:
+                    kernel = None
+            if kernel is not None:
                 tallies["convolve"] = _tally(
                     values, h, "convolve", 0, DEFAULT_DENSE_BUDGET, threads=2
                 )
                 dense["fold"] = _fold_counts(values, h, 2)
                 folded += 1
-                if (
-                    h >= 2
-                    and count ** (h - 1) < 2**31
-                    and _fft_bytes(values, h) <= _BUDGET_CELL_BYTES * DEFAULT_DENSE_BUDGET
-                ):
-                    dense["fft"] = _fft_counts(values, h)
-                    transformed += 1
+            if kernel == "fft":
+                dense["fft"] = _fft_counts(values, h)
+                transformed += 1
             for name, (other_sums, other_counts) in tallies.items():
                 assert np.array_equal(other_sums, sums), (name, k, h, m)
                 assert np.array_equal(other_counts, counts), (name, k, h, m)

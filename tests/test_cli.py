@@ -80,6 +80,15 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "memory budget" in proc.stderr
 
+    @pytest.mark.parametrize("index_bound, h", [("50", "20"), ("8660", "4")])
+    def test_tally_past_int64_or_the_byte_budget_is_3(self, index_bound, h, capsys):
+        # 49**19 would wrap the fold's int64 counts; 8659 values at h = 4
+        # would need a 2.4 GB int64 fold
+        assert main(["energy", "--k", "2", "--h", h, "--index-bound", index_bound]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["--kind", "energy", "--k", "2", "--h", "2", "--index-bound", "50"],
         ["--kind", "restricted-sums", "--k", "2", "--h", "2", "--x", "100"],

@@ -366,9 +366,10 @@ class TestExtremes:
 
     def test_energy_kind_tallies_once_for_its_extremes(self, monkeypatch):
         arities = []
-        real = energy._tally
+        real = energy._run_kernel
         monkeypatch.setattr(
-            energy, "_tally", lambda values, h, *a, **kw: arities.append(h) or real(values, h, *a, **kw)
+            energy, "_run_kernel",
+            lambda values, h, *a, **kw: arities.append(h) or real(values, h, *a, **kw),
         )
         record, _ = run_experiment("energy", {"k": 2, "h": 3, "index_bound": 30, "top": 5})
         assert arities == [3]
@@ -388,6 +389,77 @@ def test_tally_strategies_agree_randomized(k, h, extra):
     mitm = multiplicity_map(k, h, m, strategy="mitm")
     convolve = multiplicity_map(k, h, m, strategy="convolve")
     assert direct == mitm == convolve
+
+
+def admitted(k, h, m, sequence="binomial", strategy="auto",
+             dense_budget=energy.DEFAULT_DENSE_BUDGET):
+    """The kernel _admit picks for indices up to m of the sequence."""
+    seq = BinomialSequence(k) if sequence == "binomial" else PowerSequence(k)
+    return energy._admit(m - seq.first_index + 1, seq.value(m), h, strategy,
+                         energy.DEFAULT_ENUMERATION_BUDGET, dense_budget)[0]
+
+
+class TestAdmission:
+    """_admit alone picks the kernel (direct, mitm, fft or fold) and the
+    dtype, from the number of values and the largest one."""
+
+    def test_benchmark_instances_keep_their_kernels(self):
+        energies = {(2, 3, 800, "binomial"): "fft", (3, 3, 150, "binomial"): "fold",
+                    (4, 2, 1200, "binomial"): "direct", (2, 3, 300, "power"): "fold"}
+        for (k, h, m, sequence), kernel in energies.items():
+            assert admitted(k, h, m, sequence) == kernel, (k, h, m, sequence)
+        # the restricted-sums ladders at X = 10**4 * 2**i with c = 1/2
+        ladders = {(3, 4): ["fold"] * 9, (2, 3): ["fold"] * 7 + ["fft"] * 2}
+        for (k, h), kernels in ladders.items():
+            rungs = []
+            for i in range(9):
+                spec = RestrictedTupleSpec(k, h, 10**4 * 2**i, Fraction(1, 2))
+                rungs.append(admitted(k, h, BinomialSequence(k).floor_index(spec.per_term_cap)))
+            assert rungs == kernels, (k, h)
+        for bound in (10**3, 10**4, 10**5, 10**6):
+            assert admitted(2, 2, BinomialSequence(2).floor_index(bound)) == "direct"
+        for k, h, m in ((2, 4, 50), (3, 3, 150), (4, 2, 800)):
+            for strategy in ("direct", "mitm"):
+                assert admitted(k, h, m, strategy=strategy) == strategy
+
+    def test_fft_only_while_every_count_fits_int32(self):
+        # order 1, h = 3: a count reaches len**2, and 46340**2 < 2**31 <= 46341**2
+        assert admitted(1, 3, 46340) == "fft"
+        assert admitted(1, 3, 46341) == "fold"
+
+    def test_fold_only_while_every_count_fits_int64(self):
+        # values 1, 2: a count reaches 2**(h-1), and the fold answers up to
+        # 2**62 with exact binomial counts
+        assert admitted(1, 63, 2) == "fold"
+        assert multiplicity_map(1, 63, 2) == {63 + j: binom(63, j) for j in range(64)}
+        for strategy in ("auto", "convolve"):
+            with pytest.raises(ResourceBudgetError):
+                admitted(1, 64, 2, strategy=strategy)
+        # a 20-fold tally of 49 values: counts up to 49**19 would wrap int64
+        with pytest.raises(ResourceBudgetError):
+            multiplicity_map(2, 20, 50)
+
+    def test_fold_charged_in_bytes(self):
+        # 8 B per cell at int32, 16 B at int64, against 8 B per budget cell
+        for k, h, m, per_cell in ((2, 3, 500, 1), (4, 7, 60, 2)):
+            cells = h * binom(m, k) + 1
+            assert admitted(k, h, m, strategy="convolve",
+                            dense_budget=per_cell * cells) == "fold"
+            with pytest.raises(ResourceBudgetError):
+                admitted(k, h, m, strategy="convolve", dense_budget=per_cell * cells - 1)
+        # 8659 values at h = 4: an int64 fold of 1.5 * 10**8 cells (2.4 GB);
+        # auto falls back to mitm, whose larger half is over budget
+        with pytest.raises(ResourceBudgetError) as info:
+            admitted(2, 4, 8660)
+        assert "mitm" in str(info.value)
+
+    def test_refusal_names_the_chosen_kernel(self):
+        with pytest.raises(ResourceBudgetError) as info:
+            energy_report(2, 2, 10**30)
+        assert "mitm's larger half" in str(info.value)
+        with pytest.raises(ResourceBudgetError) as info:
+            multiplicity_map(2, 2, 10**30, strategy="direct")
+        assert "direct enumeration" in str(info.value)
 
 
 class TestFftKernel:
@@ -424,27 +496,30 @@ class TestFftKernel:
 
         def takes_fft(values, h, dense_budget=energy.DEFAULT_DENSE_BUDGET):
             proposed.clear()
-            dense = energy._dense_counts(values, h, dense_budget)
-            assert np.array_equal(dense, _fold_counts(values, h, 1))
+            sums, counts = _tally(values, h, "convolve", 0, dense_budget)
+            dense = _fold_counts(values, h, 1)
+            assert np.array_equal(sums, np.flatnonzero(dense))
+            assert np.array_equal(counts, dense[sums])
             return bool(proposed)
 
         # triangular values: the fold counts two of the three factors, so
         # it does len(values) shifted adds per cell
         length = energy._FFT_CROSSOVER
         at = sequence_values(2, length + 1, "binomial")
-        assert len(at) == length and energy._counted_factors(at, 3) == 2
+        assert len(at) == length and energy._counted_factors(length, at[-1], 3) == 2
         assert takes_fft(at, 3)
         assert not takes_fft(at[:-1], 3)  # below the crossover
         # order 1, h = 4: 1291**3 >= 2**31, so a count could pass int32
         wide = list(range(1, 1292))
-        assert energy._counted_factors(wide, 4) == 1
+        assert energy._counted_factors(len(wide), wide[-1], 4) == 1
         assert 3 * len(wide) >= energy._FFT_CROSSOVER and len(wide) ** 3 >= 2**31
         assert not takes_fft(wide, 4)
         # the byte estimate must fit 8 B per budget cell
         cells = 3 * at[-1] + 1
+        estimate = _fft_bytes(len(at), at[-1], 3)
         assert not takes_fft(at, 3, dense_budget=cells)
-        assert takes_fft(at, 3, dense_budget=_fft_bytes(at, 3) // 8)
-        assert not takes_fft(at, 3, dense_budget=_fft_bytes(at, 3) // 8 - 1)
+        assert takes_fft(at, 3, dense_budget=estimate // 8)
+        assert not takes_fft(at, 3, dense_budget=estimate // 8 - 1)
 
     def test_certificate_rejects_a_perturbation_that_keeps_the_total(self, monkeypatch):
         values = sequence_values(2, energy._FFT_CROSSOVER + 20, "binomial")
@@ -531,7 +606,7 @@ class TestFftKernel:
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert peak + 16 * length <= _fft_bytes(values, 3), m
+            assert peak + 16 * length <= _fft_bytes(len(values), values[-1], 3), m
 
     def test_exports_identical_across_threads_and_kernels(self, monkeypatch):
         requests = (
@@ -720,7 +795,7 @@ class TestFoldThreads:
         # every 2-fold sum fits the 2-fold array: nothing is left to fold
         log = self.record(monkeypatch, 1)
         values = sequence_values(4, 30, "binomial")
-        assert energy._counted_factors(values, 2) == 2
+        assert energy._counted_factors(len(values), values[-1], 2) == 2
         sums, counts = _tally(values, 2, "direct", 10**6, 0)
         dense = _fold_counts(values, 2, 3)
         assert log == []
@@ -729,24 +804,25 @@ class TestFoldThreads:
 
     def test_counted_factors(self):
         # len**j <= j * top + 1 decides how many factors are counted
-        assert energy._counted_factors([1, 2, 3], 4) == 1  # 9 > 2 * 3 + 1
-        assert energy._counted_factors([1, 2, 4], 4) == 2  # 9 <= 9, 27 > 13
-        assert energy._counted_factors([1, 2, 9], 4) == 3  # 27 <= 28, 81 > 37
-        assert energy._counted_factors([1, 2, 9], 2) == 2
+        assert energy._counted_factors(3, 3, 4) == 1  # 9 > 2 * 3 + 1
+        assert energy._counted_factors(3, 4, 4) == 2  # 9 <= 9, 27 > 13
+        assert energy._counted_factors(3, 9, 4) == 3  # 27 <= 28, 81 > 37
+        assert energy._counted_factors(3, 9, 2) == 2
 
     def test_peak_bytes_stay_in_the_cell_budget(self):
-        # two workers, int32 counts: at most _BUDGET_CELL_BYTES per cell of
-        # the result, plus one chunk of counted sums
-        cases = ((2, 3, 500), (3, 3, 100))
-        for k, h, m in cases:
+        # two workers: two count arrays, at most 8 B per cell of the result
+        # at int32 and 16 B at int64, plus one chunk of counted sums
+        cases = ((2, 3, 500, np.int32), (3, 3, 100, np.int32), (4, 7, 60, np.int64))
+        for k, h, m, dtype in cases:
             values = sequence_values(k, m, "binomial")
             cells = h * values[-1] + 1
-            assert cells >= 2 * energy._WORKER_CELLS and len(values) ** (h - 1) < 2**31
+            assert cells >= 2 * energy._WORKER_CELLS
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                _fold_counts(values, h, 2)
+                assert _fold_counts(values, h, 2).dtype == dtype
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
-            assert peak <= energy._BUDGET_CELL_BYTES * cells + energy._CALL_BYTES, (k, h, m)
+            width = np.dtype(dtype).itemsize
+            assert peak <= 2 * width * cells + energy._CALL_BYTES, (k, h, m)

@@ -733,7 +733,8 @@ class TestMinRepTable:
         assert estimate / 2 <= peak <= estimate
 
     def test_default_budget_admits_distinct_at_ten_to_the_eight(self):
-        # charged up front: the counts, the coins and the prefix at the cap
+        # a zero budget refuses the first charge: the counts and the coins,
+        # held up front; each distinct pass is checked only as it comes
         with pytest.raises(ResourceBudgetError) as info:
             min_rep_table(2, 10**8, mode="distinct", memory_budget=0)
         assert 10**8 < info.value.required < represent.DEFAULT_MEMORY_BUDGET // 8
