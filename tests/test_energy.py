@@ -431,6 +431,9 @@ class TestAdmission:
         # values 1, 2: a count reaches 2**(h-1), and the fold answers up to
         # 2**62 with exact binomial counts
         assert admitted(1, 63, 2) == "fold"
+        # the tally is int64 only while the tuple total 2**h is below 2**63
+        for h, dtype in ((62, np.int64), (63, object)):
+            assert energy._admit(2, 2, h, "convolve", 0, 10**6) == ("fold", dtype)
         assert multiplicity_map(1, 63, 2) == {63 + j: binom(63, j) for j in range(64)}
         for strategy in ("auto", "convolve"):
             with pytest.raises(ResourceBudgetError):
