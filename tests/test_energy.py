@@ -121,7 +121,7 @@ class TestMultiplicityMap:
     def test_tally_form_and_dtype(self):
         small = BinomialSequence(2).values_upto(binom(30, 2))
         big = BinomialSequence(100).values_upto(binom(120, 100))
-        # convolve refuses sums past 2**62, so it has no object-dtype case
+        # convolve refuses sums past 2**62, so it does not run on big
         cases = ((small, np.int64, ("direct", "mitm", "convolve")),
                  (big, object, ("direct", "mitm")))
         for values, dtype, strategies in cases:
