@@ -237,14 +237,9 @@ def energy(**options) -> None:
         _run_and_report("energy", options, "energy")
 
 
-def coverage(mode: str = SearchMode.REPEATS.value, **options) -> None:
-    """Largest R <= r-max where [R/2, R] misses a two-triangular sum.
-
-    Both admission modes are computed and recorded; --mode picks which one
-    the summary highlights.
-    """
-    record = _run_and_report("coverage-threshold", options, "coverage")
-    print(f"{mode} threshold: {record.results[mode + '_threshold']}")
+def coverage(**options) -> None:
+    """Largest R <= r-max where [R/2, R] misses a two-triangular sum, per mode."""
+    _run_and_report("coverage-threshold", options, "coverage")
 
 
 def fit(**options) -> None:
@@ -267,7 +262,7 @@ _COMMANDS: dict[str, tuple[Callable[..., None], tuple[str, ...]]] = {
     # survey takes every option but the knobs and decompose's --algorithm
     "survey": (survey, tuple(name for name in _OPTIONS if name not in (*_KNOBS, "algorithm"))),
     "energy": (energy, ("k", "h", "index_bound", "x", "convention", "c", "sequence", "top")),
-    "coverage": (coverage, ("k", "r_max", "memory_budget", "mode")),
+    "coverage": (coverage, ("k", "r_max", "memory_budget")),
     "fit": (fit, ("k", "h", "x", "sequence")),
     "table": (table, ("k", "x")),
 }

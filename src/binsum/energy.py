@@ -19,10 +19,10 @@ Three interchangeable tally strategies produce identical (sums, counts):
             fill their range (h * max + 1 cells at most 9/8 of len**h),
             anything else is sorted
   mitm      enumerate both halves of the tuple, then convolve the two
-            tallies (cost roughly len**ceil(h/2) plus the cross product
-            of distinct half sums): int64 pairs are scattered into a dense
-            array when the output range is at most four cells per pair,
-            anything else is sorted
+            tallies (cost len**ceil(h/2) plus the cross product of distinct
+            half sums, charged up front as _mitm_pairs): int64 pairs are
+            scattered into a dense array when the output range is at most
+            four cells per pair, anything else is sorted
   convolve  a dense count array indexed by sum (wins when sums are
             dense). Large inputs take a float FFT whose proposed counts
             count only once an exact integer certificate accepts them;
@@ -31,13 +31,13 @@ Three interchangeable tally strategies produce identical (sums, counts):
             fold in the other h - j factors with integer shifted adds
             (cost len**j + (h-j) * len * h * max, split over threads).
 
-"auto" uses direct for h <= 2, then convolve where it is admitted, then
-mitm. convolve is admitted when no count of the fold can pass int64
-(len**(h-1) < 2**63) and its two count arrays fit the byte budget. _admit
-decides the kernel (direct, mitm, fft or fold), the tally's dtype and every
-budget from the number of values and the largest one alone, so an
-over-budget request is refused before its values are listed. Floats never
-decide a count.
+"auto" tries direct for h <= 2, then convolve, then mitm, and runs the
+first whose charges fit its budgets; convolve fits when no count of the
+fold can pass int64 (len**(h-1) < 2**63) and its two count arrays fit the
+byte budget. _admit charges every kernel from the number of values and the
+largest one alone, and decides the kernel (direct, mitm, fft or fold) and
+the tally's dtype, so an over-budget request is refused, naming each kernel
+tried, before its values are listed. Floats never decide a count.
 """
 from __future__ import annotations
 
@@ -136,16 +136,10 @@ def _tally_direct(values: list[int], h: int, dtype: type) -> Tally:
     return keys, counts.astype(dtype, copy=False)
 
 
-def _combine(left: Tally, right: Tally, budget: int) -> Tally:
+def _combine(left: Tally, right: Tally) -> Tally:
     """Convolution of two tallies: every cross pair, counts multiplied."""
     (lk, lc), (rk, rc) = left, right
     pairs = len(lk) * len(rk)
-    if pairs > budget:
-        raise ResourceBudgetError(
-            "tally convolution exceeds the pair budget",
-            required=pairs,
-            budget=budget,
-        )
     # The cross weights sum to len(values)**h, so int64 cells cannot wrap
     # exactly when that tuple total is below 2**63.
     assert lc.dtype == object or int(lc.sum()) * int(rc.sum()) < 2**63
@@ -171,7 +165,7 @@ def _combine(left: Tally, right: Tally, budget: int) -> Tally:
     return sums[starts], np.add.reduceat(weights, starts)
 
 
-def _tally_mitm(values: list[int], h: int, budget: int, dtype: type) -> Tally:
+def _tally_mitm(values: list[int], h: int, dtype: type) -> Tally:
     """Meet in the middle: tallies for both halves of the tuple, convolved."""
     if h == 1:
         return _tally_direct(values, 1, dtype)
@@ -179,7 +173,7 @@ def _tally_mitm(values: list[int], h: int, budget: int, dtype: type) -> Tally:
     right_h = h - left_h
     left = _tally_direct(values, left_h, dtype)
     right = left if right_h == left_h else _tally_direct(values, right_h, dtype)
-    return _combine(left, right, budget)
+    return _combine(left, right)
 
 
 def _smooth_length(cells: int) -> int:
@@ -354,69 +348,82 @@ def _fold_counts(values: list[int], h: int, threads: int) -> np.ndarray:
     return acc
 
 
+def _mitm_pairs(count: int, top: int, h: int) -> int:
+    """mitm's cross pairs, bounded by the distinct sums of each half of j
+    positive values: one per multiset, one per integer in [j, j * top]."""
+    from math import comb, prod
+
+    return prod(min(comb(count + j - 1, j), j * (top - 1) + 1) for j in (h // 2, h - h // 2))
+
+
 def _admit(
     count: int, top: int, h: int, strategy: str, enumeration_budget: int, dense_budget: int
 ) -> tuple[str, type]:
-    """The kernel that tallies h-fold sums of count values, the largest top,
-    and the tally's dtype. The kernel is direct, mitm, fft or fold: the
-    strategy asked, or auto's pick, with convolve run as one of its two
-    kernels. Raises ResourceBudgetError where the kernel's budget refuses.
+    """The kernel (direct, mitm, fft or fold) that tallies h-fold sums of
+    count values, the largest top, and the tally's dtype: int64 when no
+    sum (at most h * top) and no count (at most count**h) can wrap, else
+    object. Only count and top are read, so a request is refused before
+    any list of values is built.
 
-    Only count and top are read, so a request is refused before any list
-    of values is built. The tally is int64 when no sum (at most h * top)
-    and no count (at most count**h) can wrap, else object. direct
-    enumerates count**h tuples and mitm the count**(h - h//2) of its larger
-    half; mitm's convolution crosses at least count**2 pairs, and _combine
-    checks the exact number. The fold's counts reach count**(h-1) per cell,
-    so it is refused from 2**63; its two count arrays take 8 B per cell at
-    int32 and 16 B at int64. It runs as the certified FFT once its shifted
-    adds per cell reach _FFT_CROSSOVER, every count fits int32 and
-    _fft_bytes fits the same byte budget.
+    One table charges what each kernel builds against the budget that caps
+    it: direct's tuples; mitm's larger half and its cross pairs; convolve's
+    two count arrays (8 B per cell at int32, 16 B at int64) and its largest
+    count, count**(h-1). Tuples and pairs of object values are charged the
+    Python-int budget too. auto tries direct (h <= 2), convolve, then mitm;
+    another strategy tries itself. The first kernel that fits runs, else
+    ResourceBudgetError names each kernel tried with its first charge over
+    budget. convolve runs as the certified FFT once its shifted adds per
+    cell reach _FFT_CROSSOVER, every count fits int32 and _fft_bytes fits
+    the byte budget.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     dtype = np.int64 if count**h < 2**63 and h * top < 2**62 else object
     widest = count ** (h - 1)
-    fold_bytes = (8 if widest < 2**31 else 16) * (h * top + 1)
     # int64 sums need h * top < 2**62, so no more cells than that
     byte_budget = _BUDGET_CELL_BYTES * min(dense_budget, 2**62)
-    convolve = [("dense convolution exceeds the byte budget", fold_bytes, byte_budget),
-                ("dense convolution counts can exceed int64", widest, 2**63 - 1)]
-    if strategy == "auto":
-        strategy = ("direct" if h <= 2 and count**h <= enumeration_budget
-                    else "convolve" if all(r <= b for _, r, b in convolve) else "mitm")
-    if strategy == "convolve":
-        checks = convolve
+
+    # required tuples or pairs, and the Python ints they add where combined
+    def built(what: str, unit: str, required: int, combined: bool) -> list:
+        rows = [(f"{what} exceeds the {unit} budget", required, enumeration_budget)]
+        if combined and dtype is object:
+            rows.append((f"{what} over oversized values exceeds the Python-int budget",
+                         required, _PYTHON_FALLBACK_BUDGET))
+        return rows
+
+    half = h - h // 2
+    table = {
+        "direct": built("direct enumeration", "tuple", count**h, h > 1),
+        "mitm": built("mitm's larger half", "tuple", count**half, half > 1)
+        + built("mitm's cross product", "pair", _mitm_pairs(count, top, h), h > 1),
+        "convolve": [("dense convolution exceeds the byte budget",
+                      (8 if widest < 2**31 else 16) * (h * top + 1), byte_budget),
+                     ("dense convolution counts can exceed int64", widest, 2**63 - 1)],
+    }
+    refused = []
+    auto = ("direct", "convolve", "mitm") if h <= 2 else ("convolve", "mitm")
+    for kernel in auto if strategy == "auto" else (strategy,):
+        over = [ResourceBudgetError(m, required=r, budget=b) for m, r, b in table[kernel] if r > b]
+        if not over:
+            break
+        refused.append(over[0])
     else:
-        width = h if strategy == "direct" else h - h // 2
-        tuples = count**width
-        what = "direct enumeration" if strategy == "direct" else "mitm's larger half"
-        checks = [(f"{what} exceeds the tuple budget", tuples, enumeration_budget)]
-        if width > 1 and dtype is object:
-            checks.append((f"{what} over oversized values exceeds the Python-int budget",
-                           tuples, _PYTHON_FALLBACK_BUDGET))
-        if strategy == "mitm" and h > 1:
-            checks.append(("tally convolution exceeds the pair budget", count**2,
-                           enumeration_budget))
-    for message, required, budget in checks:
-        if required > budget:
-            raise ResourceBudgetError(message, required=required, budget=budget)
-    if strategy != "convolve":
-        return strategy, dtype
+        raise refused[0] if len(refused) == 1 else ResourceBudgetError(
+            "no tally kernel fits: " + "; ".join(map(str, refused)))
+    if kernel != "convolve":
+        return kernel, dtype
     fft = ((h - _counted_factors(count, top, h)) * count >= _FFT_CROSSOVER
            and widest < 2**31 and _fft_bytes(count, top, h) <= byte_budget)
     return ("fft" if fft else "fold"), dtype
 
 
-def _run_kernel(
-    values: list[int], h: int, kernel: str, dtype: type, enumeration_budget: int, threads: int
-) -> Tally:
+def _run_kernel(values: list[int], h: int, kernel: str, dtype: type, threads: int) -> Tally:
     """The tally by the kernel _admit picked, in the dtype it picked. An
     FFT proposal the certificate refuses is replaced by the fold."""
     if kernel == "direct":
         return _tally_direct(values, h, dtype)
     if kernel == "mitm":
-        return _tally_mitm(values, h, enumeration_budget, dtype)
+        return _tally_mitm(values, h, dtype)
     dense = _fft_counts(values, h) if kernel == "fft" else None
     if dense is None:
         dense = _fold_counts(values, h, threads)
@@ -435,7 +442,7 @@ def _tally(
     """Admit, then run; every strategy returns the same exact (sums,
     counts) pair, in the dtype _admit picks."""
     kernel, dtype = _admit(len(values), values[-1], h, strategy, enumeration_budget, dense_budget)
-    return _run_kernel(values, h, kernel, dtype, enumeration_budget, threads)
+    return _run_kernel(values, h, kernel, dtype, threads)
 
 
 def _sequence_tally(
@@ -449,12 +456,10 @@ def _sequence_tally(
         raise ValueError(
             f"index_bound must be >= {seq.first_index}, got {index_bound}"
         )
-    kernel, dtype = _admit(
-        index_bound - seq.first_index + 1, seq.value(index_bound), h, strategy,
-        DEFAULT_ENUMERATION_BUDGET, DEFAULT_DENSE_BUDGET,
-    )
+    kernel, dtype = _admit(index_bound - seq.first_index + 1, seq.value(index_bound), h,
+                           strategy, DEFAULT_ENUMERATION_BUDGET, DEFAULT_DENSE_BUDGET)
     values = [seq.value(n) for n in range(seq.first_index, index_bound + 1)]
-    return _run_kernel(values, h, kernel, dtype, DEFAULT_ENUMERATION_BUDGET, threads)
+    return _run_kernel(values, h, kernel, dtype, threads)
 
 
 def multiplicity_map(

@@ -89,6 +89,13 @@ class TestExitCodes:
         assert captured.out == "" and captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    def test_auto_refusal_names_every_kernel_tried(self, capsys):
+        # the dense path was passed over because its counts could wrap int64
+        assert main(["energy", "--k", "2", "--h", "20", "--index-bound", "50"]) == 3
+        err = capsys.readouterr().err
+        assert "dense convolution counts can exceed int64" in err
+        assert "mitm's larger half exceeds the tuple budget" in err
+
     @pytest.mark.parametrize("argv", [
         ["--kind", "energy", "--k", "2", "--h", "2", "--index-bound", "50"],
         ["--kind", "restricted-sums", "--k", "2", "--h", "2", "--x", "100"],
@@ -278,9 +285,9 @@ class TestOtherCommands:
         assert "restricted-sums" in proc.stdout
 
     def test_coverage_command(self):
-        proc = run_cli("coverage", "--r-max", "200", "--mode", "distinct")
+        proc = run_cli("coverage", "--r-max", "200")
         assert proc.returncode == 0
-        assert "distinct threshold: 200" in proc.stdout
+        assert "distinct=200" in proc.stdout
 
     def test_fit_command(self):
         proc = run_cli("fit", "--k", "1", "--h", "1",

@@ -220,7 +220,7 @@ class TestEnergyReport:
         # the cross weights total 2**64, beyond int64
         half = (np.array([0, 1]), np.array([2**31, 2**31]))
         with pytest.raises(AssertionError):
-            _combine(half, half, budget=10)
+            _combine(half, half)
 
     def test_report_asserts_consistency(self):
         with pytest.raises(AssertionError):
@@ -464,6 +464,87 @@ class TestAdmission:
             multiplicity_map(2, 2, 10**30, strategy="direct")
         assert "direct enumeration" in str(info.value)
 
+    def test_auto_refusal_names_every_kernel_tried(self):
+        # 49 values at h = 20: convolve's counts could wrap int64, and
+        # mitm's larger half is 49**10 tuples
+        with pytest.raises(ResourceBudgetError) as info:
+            admitted(2, 20, 50)
+        message = str(info.value)
+        assert "dense convolution counts can exceed int64" in message
+        assert "mitm's larger half exceeds the tuple budget" in message
+        assert info.value.required is None and info.value.budget is None
+        # at h <= 2 auto tries direct first, and names it too
+        with pytest.raises(ResourceBudgetError) as info:
+            admitted(2, 2, 10**30)
+        assert all(what in str(info.value) for what in
+                   ("direct enumeration", "dense convolution", "mitm's larger half"))
+        # a single kernel keeps its charge and its budget
+        with pytest.raises(ResourceBudgetError) as info:
+            admitted(2, 20, 50, strategy="mitm")
+        assert info.value.required == 49**10
+        assert info.value.budget == energy.DEFAULT_ENUMERATION_BUDGET
+
+    def test_mitm_pair_charge_covers_its_cross_pairs(self):
+        # the charge bounds the pairs _combine crosses, so a late pair
+        # check could never refuse what _admit admitted
+        checked = 0
+        for sequence in ("binomial", "power"):
+            for k in range(1, 5):
+                seq = BinomialSequence(k) if sequence == "binomial" else PowerSequence(k)
+                for h in range(2, 7):
+                    for m in range(seq.first_index, 41):
+                        count, top = m - seq.first_index + 1, seq.value(m)
+                        try:
+                            kernel, dtype = energy._admit(
+                                count, top, h, "mitm", energy.DEFAULT_ENUMERATION_BUDGET,
+                                energy.DEFAULT_DENSE_BUDGET)
+                        except ResourceBudgetError:
+                            continue
+                        assert kernel == "mitm"
+                        values = sequence_values(k, m, sequence)
+                        left = energy._tally_direct(values, h // 2, dtype)[0]
+                        right = energy._tally_direct(values, h - h // 2, dtype)[0]
+                        charge = energy._mitm_pairs(count, top, h)
+                        assert charge >= len(left) * len(right), (sequence, k, h, m)
+                        checked += 1
+        assert checked >= 1000
+
+    @pytest.mark.parametrize("request_", [
+        lambda: energy_report(3, 3, 4396),
+        lambda: multiplicity_map(100, 2, 2100, strategy="mitm"),
+    ], ids=["auto-k3-h3", "mitm-oversized"])
+    def test_mitm_refused_before_its_halves(self, request_, monkeypatch):
+        # (3, 3, 4396): 4394 * C(4395, 2) pairs past the pair budget.
+        # (100, 2, 2100): 2001**2 pairs of oversized values, over the
+        # Python-int budget though under the pair budget
+        def no_half(*args):
+            raise AssertionError("a half tally was built")
+
+        monkeypatch.setattr(energy, "_tally_direct", no_half)
+        elapsed = []
+        for _ in range(3):
+            started = time.perf_counter()
+            with pytest.raises(ResourceBudgetError) as info:
+                request_()
+            elapsed.append(time.perf_counter() - started)
+        assert "mitm's cross product" in str(info.value)
+        assert min(elapsed) < 0.01, elapsed
+
+    def test_mitm_refused_where_its_charge_passes_the_budget(self):
+        # 114 values at h = 4: C(115, 2)**2 = 4.3 * 10**7 pairs are charged,
+        # though the halves' true key counts cross fewer than 2 * 10**7
+        with pytest.raises(ResourceBudgetError) as info:
+            multiplicity_map(2, 4, 115, strategy="mitm")
+        assert "mitm's cross product exceeds the pair budget" in str(info.value)
+        # auto folds it; direct would enumerate 114**4 tuples, so mitm with
+        # a raised budget is the second opinion
+        assert admitted(2, 4, 115) == "fold"
+        values = sequence_values(2, 115, "binomial")
+        sums, counts = _tally(values, 4, "auto")
+        mitm_sums, mitm_counts = _tally(values, 4, "mitm", enumeration_budget=10**8)
+        assert np.array_equal(sums, mitm_sums) and np.array_equal(counts, mitm_counts)
+        assert int(counts.sum()) == 114**4
+
 
 class TestFftKernel:
     """convolve's float FFT only proposes counts: the exact certificate
@@ -689,7 +770,6 @@ class TestCountingTallies:
                     sums, counts = _combine(
                         tuple(np.array(side, dtype=dtype) for side in first),
                         tuple(np.array(side, dtype=dtype) for side in second),
-                        budget=9,
                     )
                     assert sorted_ == ([] if dense and dtype is np.int64 else ["argsort"])
                     assert sums.dtype == counts.dtype == dtype

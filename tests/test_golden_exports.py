@@ -45,7 +45,7 @@ CASES = {
                  "--sequence", "power"],
     "energy-x-value": ["energy", "--k", "2", "--h", "2", "--x", "5000"],
     "energy-restricted": ["energy", "--k", "2", "--h", "2", "--x", "1000", "--c", "1/3"],
-    "coverage": ["coverage", "--r-max", "300", "--mode", "distinct"],
+    "coverage": ["coverage", "--r-max", "300"],
     "fit": ["fit", "--k", "2", "--h", "2", "--x", "100", "--x", "1000", "--x", "10000",
             "--sequence", "power"],
     "table": ["table", "--k", "3", "--x", "100", "--x", "100000"],
@@ -59,10 +59,10 @@ CASES = {
 GOLDEN = {
     ("coverage", "json"): (
         "a7971c6f16f74b0dc9343b3a232709335cd36061a2b26727d556bf0ff0adf61c",
-        "25fd8ad2d43f7d8c4bf49a523a4ce8f3170fe46ee9e0afa81a240a4111dd4962"),
+        "74248746ff287fcf073957dd6167529fe791093219ac0ab32e395d7c68de5d27"),
     ("coverage", "csv"): (
         "fb97092c7e440fa4e7efe9d314d6999fdce543ff5845c3a34f4164d7a27ad367",
-        "25fd8ad2d43f7d8c4bf49a523a4ce8f3170fe46ee9e0afa81a240a4111dd4962"),
+        "74248746ff287fcf073957dd6167529fe791093219ac0ab32e395d7c68de5d27"),
     ("decompose", "json"): (
         "246e191d0b036116b2392182393c29bb44b6a65d504b64480d5d8de1988cd2e7",
         "bd6e48af6c4243e6b679e956ee8aed09a17968b4a78642cb72e28679bb9ef848"),
