@@ -143,7 +143,7 @@ def _run_and_report(kind: str, options: dict, command: str) -> SurveyRecord:
     if foreign:
         raise _UsageError(f"{command} takes no {', '.join(foreign)}")
     params = {name: options[name] for name in names if name in options}
-    threads = options.get("threads", os.cpu_count() or 1)
+    threads = options["threads"] if "threads" in options else os.cpu_count() or 1
     cache_dir = options.get("cache_dir") or os.environ.get(CACHE_ENV_VAR)
     try:
         record, hit = run_experiment(

@@ -604,7 +604,11 @@ def _distinct_table(counts: np.ndarray, coins: list[int], cap: int) -> None:
     counts[_unpack(~union, cells)] = EXCEEDS_CAP
 
 
-# Distinct tables from this many cells up build a prefix table first.
+# Distinct tables from _PREFIX_BASE cells up build a prefix table first, and
+# from _PREFIX_FLOOR up those window layers may finish: there the prefix's
+# top half first lies past 33, the last order-2 target with no distinct sum
+# (at k = 2, 4,223 cells took 19% longer this way, 4,224 cells 18-59% less).
+_PREFIX_FLOOR = 66 * 64
 _PREFIX_BASE = 2**16
 # The deepest whole-range distinct pass built from window layers.
 _WINDOW_DEPTH = 3
@@ -630,34 +634,37 @@ def _distinct_counts(
     levels only on the prefix that still needs them; returns counts.
 
     Counts need not grow with the target: distinct triangular sums need 4
-    terms only at 20, and none exists for six targets up to 33. Below
-    _PREFIX_BASE cells this is one _distinct_table pass at the cap. Above
-    it the exact table of the prefix [0, m], m = n // 64, is built first
-    (recursively, in place; at a 64th of the range its deep levels cost
-    little), and its top half gives the depth r (_prefix_depth). One
-    shallow pass then covers the whole range: window layers up to r while r
-    <= _WINDOW_DEPTH (see _layered_counts), else _distinct_table at r < cap
-    levels; at any other r one pass at the cap follows. Either is exact for
-    every count it reports and leaves the rest uncovered; a target t <= m
-    needs only coins up to t, so the prefix table is exact there and is
-    copied back. A target above m still uncovered needs more than r terms,
-    or is a three-term sum the windows miss: then one pass at the cap over
-    [0, u], u the last such target, replaces the counts up to u. That pass
-    must not recurse, as its depth read would leave u uncovered again. The
-    worst case is therefore the prefix, the shallow pass, and one pass at
-    the cap over [0, u].
+    terms only at 20, and none exists for six targets up to 33. From
+    _PREFIX_BASE cells up the exact table of the prefix [0, m], m = n // 64,
+    is built first (recursively, in place; at a 64th of the range its deep
+    levels cost little), and its top half gives the depth r (_prefix_depth).
+    One shallow pass then covers the whole range: window layers up to r
+    while r <= _WINDOW_DEPTH (see _layered_counts), else _distinct_table at
+    r < cap levels; at any other r one pass at the cap follows. Either is
+    exact for every count it reports and leaves the rest uncovered; a target
+    t <= m needs only coins up to t, so the prefix table is exact there and
+    is copied back. A target above m still uncovered needs more than r
+    terms, or is a three-term sum the windows miss: then one pass at the cap
+    over [0, u], u the last such target, replaces the counts up to u. That
+    pass must not recurse, as its depth read would leave u uncovered again.
+    The worst case is therefore the prefix, the shallow pass, and one pass
+    at the cap over [0, u]. Below the base the route runs from _PREFIX_FLOOR
+    cells where 0 and the sums of up to _WINDOW_DEPTH coins, all that window
+    layers reach, outnumber the targets above m (never at orders 3 and up),
+    and any depth read past them falls through to one pass at the cap.
 
     Each pass is checked against the budget just before it allocates, on
     top of the held bytes (the counts and the coins) and the prefix copy.
     """
     n = counts.size - 1
-    if n >= _PREFIX_BASE:
+    reach = sum(math.comb(len(coins), j) for j in range(_WINDOW_DEPTH + 1))
+    if n >= _PREFIX_BASE or (n >= _PREFIX_FLOOR and reach > n - n // 64):
         m = n // 64
         _distinct_counts(
             counts[: m + 1], coins[: bisect.bisect_right(coins, m)], cap, held, budget
         )
         depth = _prefix_depth(counts[m // 2 + 1 : m + 1])
-        if depth < cap or depth <= _WINDOW_DEPTH:
+        if depth <= _WINDOW_DEPTH or (depth < cap and n >= _PREFIX_BASE):
             window = depth <= _WINDOW_DEPTH
             if window:
                 shallow = _layers_bytes(n + 1)
@@ -731,8 +738,9 @@ def min_rep_table(
     _distinct_counts): the prefix table [0, range_end // 64] at the cap, a
     shallow pass over the whole range at the depth the prefix's top half
     needs (window layers up to depth 3, as at k = 2), and a full-depth pass
-    over [0, u] only if some target u above the prefix is still uncovered.
-    The counts equal one full-depth pass.
+    over [0, u] only if some target u above the prefix is still uncovered;
+    below 2**16 cells, only k = 2 from 4,224 cells. The counts equal one
+    full-depth pass.
 
     Estimated working memory above the budget raises ResourceBudgetError
     before it is allocated. The counts, the coins and, for a repeats table,

@@ -89,6 +89,15 @@ class TestExitCodes:
         assert captured.out == "" and captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("h", ["1400", "100000"])
+    def test_refusal_of_a_huge_charge_is_3_and_short(self, h, capsys):
+        # charges of about 4,200 and 300,000 digits: str() refuses the
+        # second, and the first would print every digit
+        assert main(["energy", "--k", "1", "--h", h, "--index-bound", "1000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "≈ 2^" in err
+        assert len(err.encode()) < 1024
+
     def test_auto_refusal_names_every_kernel_tried(self, capsys):
         # the dense path was passed over because its counts could wrap int64
         assert main(["energy", "--k", "2", "--h", "20", "--index-bound", "50"]) == 3
@@ -342,6 +351,18 @@ class TestParser:
 
     def test_version_output(self):
         assert f"version {binsum.__version__}" in run_cli("--version").stdout
+
+    def test_core_count_read_only_without_threads(self, monkeypatch):
+        def refuse():
+            raise AssertionError("os.cpu_count called though --threads was given")
+
+        monkeypatch.setattr(os, "cpu_count", refuse)
+        for argv in (["energy", "--k", "3", "--h", "3", "--index-bound", "20"],
+                     ["survey", "--kind", "min-rep", "--k", "2", "--n", "42"]):
+            assert main([*argv, "--threads", "2"]) == 0
+        # without --threads, an unknown core count means one thread
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert main(["energy", "--k", "3", "--h", "3", "--index-bound", "20"]) == 0
 
     def test_empty_cache_env_var_means_no_cache(self, tmp_path):
         proc = run_cli_in(tmp_path, "survey", "--kind", "min-rep", "--k", "2", "--n", "42",

@@ -60,6 +60,18 @@ def sequence_values(k, m, sequence):
     return [seq.value(n) for n in range(seq.first_index, m + 1)]
 
 
+def fold_steps(values, h):
+    """"sparse" or "dense" for each step _fold_counts folds, by its rule
+    on the step's input, the i-fold tally, read from mitm."""
+    start = energy._counted_factors(len(values), values[-1], h)
+    steps = []
+    for i in range(start, h):
+        sums, _ = _tally(values, i, "mitm", 10**8, 0)
+        sparse = len(sums) * energy._SPARSE_RATIO < i * values[-1] + 1
+        steps.append("sparse" if sparse else "dense")
+    return steps
+
+
 class TestMultiplicityMap:
     def test_hand_tally_triangular_pairs(self):
         # values 1, 3, 6; ordered pairs
@@ -464,6 +476,14 @@ class TestAdmission:
             multiplicity_map(2, 2, 10**30, strategy="direct")
         assert "direct enumeration" in str(info.value)
 
+    def test_huge_charges_stay_exact_on_the_exception(self):
+        # str() refuses ints past 4,300 digits; the message needs only sizes
+        exc = ResourceBudgetError("too big", required=10**5000, budget=10**19)
+        assert exc.required == 10**5000 and exc.budget == 10**19
+        assert str(exc) == f"too big (required ≈ 2^16609.6, budget {10**19})"
+        exc = ResourceBudgetError("small", required=10**20 - 1, budget=10**20)
+        assert str(exc) == f"small (required {10**20 - 1}, budget ≈ 2^66.4)"
+
     def test_auto_refusal_names_every_kernel_tried(self):
         # 49 values at h = 20: convolve's counts could wrap int64, and
         # mitm's larger half is 49**10 tuples
@@ -817,6 +837,7 @@ class TestFoldThreads:
                        [rng.randrange(1, 40) for _ in range(7)]):
             values = sorted(set(values))
             for h in (2, 3, 4):
+                assert "sparse" not in fold_steps(values, h), (values, h)
                 sums, counts = _tally(values, h, "direct", 10**6, 0)
                 for threads in (1, 2, 3):
                     log.clear()
@@ -849,6 +870,7 @@ class TestFoldThreads:
         try:
             for k, h, m in ((2, 3, 40), (3, 3, 30), (1, 4, 25)):
                 values = sequence_values(k, m, "binomial")
+                assert "sparse" not in fold_steps(values, h), (k, h, m)
                 sums, counts = _tally(values, h, "direct", 10**6, 0)
                 dense = _fold_counts(values, h, 3)
                 assert np.array_equal(np.flatnonzero(dense), sums), (k, h, m)
@@ -862,6 +884,7 @@ class TestFoldThreads:
         _fold_counts(values, 3, 64)
         assert log == []  # fewer than 2 * 1000 cells: serial, no pool
         values = sequence_values(2, 40, "binomial")  # top 780: 3-fold cells 2341
+        assert fold_steps(values, 3) == ["dense"]
         want = _fold_counts(values, 3, 1)
         assert log == []
         for threads, workers in ((64, 2), (2, 2), (3, 2)):
@@ -869,6 +892,7 @@ class TestFoldThreads:
             assert np.array_equal(_fold_counts(values, 3, threads), want)
             assert [entry["max_workers"] for entry in log] == [workers]
         values = sequence_values(1, 30, "binomial")  # 4-fold cells 121
+        assert fold_steps(values, 4) == ["dense"] * 3
         monkeypatch.setattr(energy, "_WORKER_CELLS", 40)
         log.clear()
         _fold_counts(values, 4, 64)
@@ -909,3 +933,62 @@ class TestFoldThreads:
                 tracemalloc.stop()
             width = np.dtype(dtype).itemsize
             assert peak <= 2 * width * cells + energy._CALL_BYTES, (k, h, m)
+
+
+class TestSparseFoldSteps:
+    """A fold step scatters its input's nonzero cells while they are fewer
+    than 1 / _SPARSE_RATIO of its cells, else it adds shifted copies; both
+    give the direct tally, in either dtype and at any thread count."""
+
+    def check(self, monkeypatch, values, h, want):
+        scattered = []
+        real = energy._nonzero
+        monkeypatch.setattr(energy, "_nonzero", lambda a: scattered.append(a.size) or real(a))
+        sums, counts = want
+        steps = fold_steps(values, h)
+        # every step sparse, every step dense, then the measured ratio
+        for ratio, sparse in ((0, len(steps)), (2**40, 0),
+                              (energy._SPARSE_RATIO, steps.count("sparse"))):
+            monkeypatch.setattr(energy, "_SPARSE_RATIO", ratio)
+            for threads in (1, 2):
+                scattered.clear()
+                dense = _fold_counts(values, h, threads)
+                assert len(scattered) == sparse, (values[-1], h, ratio, threads)
+                assert np.array_equal(np.flatnonzero(dense), sums), (values[-1], h, ratio, threads)
+                assert np.array_equal(dense[sums], counts), (values[-1], h, ratio, threads)
+        return steps, dense.dtype
+
+    def test_steps_match_direct(self, monkeypatch):
+        # every dense step splits over two workers at threads=2
+        monkeypatch.setattr(energy, "_WORKER_CELLS", 1)
+        rng = random.Random(2718)
+        # (sequence, k, h, lowest m, highest m): seeded m, each case's
+        # folded steps in the comment; direct enumerates at most 5 * 10**6
+        grid = (("binomial", 3, 3, 50, 140),  # sparse
+                ("binomial", 3, 3, 20, 30),  # dense
+                ("binomial", 3, 4, 48, 51),  # sparse, dense
+                ("binomial", 3, 5, 8, 20),  # dense x 3
+                ("binomial", 4, 4, 40, 41),  # sparse
+                ("binomial", 4, 5, 8, 20),  # dense x 2
+                ("power", 3, 4, 10, 40),  # dense
+                ("power", 3, 5, 8, 20),  # dense x 2
+                ("power", 4, 5, 8, 20))  # sparse
+        seen = set()
+        for sequence, k, h, lo, hi in grid:
+            values = sequence_values(k, rng.randint(lo, hi), sequence)
+            want = _tally(values, h, "direct", 10**7, 0)
+            steps, dtype = self.check(monkeypatch, values, h, want)
+            assert dtype == np.int32
+            seen.add(tuple(sorted(set(steps))))
+        assert seen == {("sparse",), ("dense",), ("dense", "sparse")}
+
+    def test_int64_steps_match_mitm(self, monkeypatch):
+        # len**(h-1) >= 2**31 puts an int64 fold past direct's reach; mitm,
+        # checked against direct elsewhere, is the reference
+        monkeypatch.setattr(energy, "_WORKER_CELLS", 1)
+        for sequence, k in (("binomial", 3), ("power", 4)):
+            values = sequence_values(k, 5 if sequence == "binomial" else 3, sequence)
+            assert len(values) == 3
+            want = _tally(values, 21, "mitm", 10**8, 0)
+            _, dtype = self.check(monkeypatch, values, 21, want)
+            assert dtype == np.int64

@@ -687,6 +687,19 @@ class TestMinRepTable:
             assert log[-2][:2] == (kind, n + 1) and log[-2][2] < 8
             assert log[-1][0] == "grid" and log[-1][2] == 8
 
+        # from the floor up to the base: the prefix only where window layers
+        # may finish the table, and only window layers after it
+        monkeypatch.setattr(represent, "_prefix_depth", read)
+        monkeypatch.setattr(represent, "_PREFIX_BASE", 2**16)
+        floor = represent._PREFIX_FLOOR
+        assert check(2, floor - 1) == [("grid", floor, 8)]
+        assert check(2, floor) == [("grid", 67, 8), ("window", floor + 1, 3), ("grid", 111, 8)]
+        # too few sums of up to three order-3 coins: one pass at the cap
+        assert check(3, 20000) == [("grid", 20001, 8)]
+        # a depth read past the windows falls through to the pass at the cap
+        monkeypatch.setattr(represent, "_prefix_depth", lambda top_half: read(top_half) + 1)
+        assert check(2, 5000) == [("grid", 79, 8), ("grid", 5001, 8)]
+
     def test_tetrahedral_five_term_targets_are_oeis_a000797(self):
         # Pollock's conjecture: 241 integers need five tetrahedral numbers,
         # the largest being 343867 (OEIS A000797)
@@ -722,6 +735,15 @@ class TestMinRepTable:
             min_rep_table(k, n, mode="distinct", memory_budget=0)
         peak, estimate = peak_and_estimate(
             monkeypatch, lambda: min_rep_table(k, n, mode="distinct")
+        )
+        assert peak <= estimate
+
+    def test_traced_peak_within_estimate_below_the_base(self, monkeypatch):
+        # order 2 takes the prefix and window route from the floor up
+        n = 2 * 10**4
+        assert represent._PREFIX_FLOOR <= n < represent._PREFIX_BASE
+        peak, estimate = peak_and_estimate(
+            monkeypatch, lambda: min_rep_table(2, n, mode="distinct")
         )
         assert peak <= estimate
 
@@ -801,6 +823,16 @@ class TestDistinctWindows:
         for cap in (3, 4, 8):
             got = min_rep_table(k, n, cap, "distinct").counts
             assert np.array_equal(got, bytewise_distinct_table(n, coins, cap)), (n, cap)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_table_below_the_base_equals_bytewise_reference(self, k):
+        # at k = 2 the prefix and window layers, else one pass at the cap
+        rng = random.Random(20 + k)
+        for cap in (3, 8, CAP_MAX):
+            for n in (rng.randrange(4096, 2**16) for _ in range(2)):
+                coins = BinomialSequence(k).values_upto(n)
+                got = min_rep_table(k, n, cap, "distinct").counts
+                assert np.array_equal(got, bytewise_distinct_table(n, coins, cap)), (n, cap)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_table_at_the_full_cap_equals_bytewise_reference(self, monkeypatch, k):
