@@ -25,6 +25,9 @@ __all__ = [
 # many bits per order, so the root (below 2**40) is off by far less than 1.
 _FLOAT_ROOT_BITS = 40
 
+# _binom_array's partial products stay in int64 while top ** k is below this.
+_INT64_LIMIT = 2**62
+
 
 def _require_order(k: int) -> None:
     if k < 1:
@@ -50,6 +53,15 @@ def binom(n: int, k: int) -> int:
         # out * (n - i + 1) is a product of i consecutive integers times a
         # binomial coefficient, hence divisible by i.
         out = out * (n - i + 1) // i
+    return out
+
+
+def _binom_array(n, k: int):
+    """C(n, k) for every entry of an int64 numpy array n >= 0, exactly, by
+    binom's falling product; the caller keeps n ** k below _INT64_LIMIT."""
+    out = n
+    for i in range(2, k + 1):
+        out = out * (n - (i - 1)) // i
     return out
 
 
@@ -179,6 +191,14 @@ class BinomialSequence(IncreasingSequence):
 
     def floor_index(self, bound: int) -> int:
         return floor_index(self.order, bound)
+
+    def values_upto(self, bound: int) -> list[int]:
+        """One int64 pass while top ** k < _INT64_LIMIT, else binom calls."""
+        k, top = self.order, self.floor_index(bound) if bound >= 1 else 0
+        if top**k >= _INT64_LIMIT:
+            return super().values_upto(bound)
+        import numpy as np
+        return _binom_array(np.arange(k, top + 1, dtype=np.int64), k).tolist()
 
 
 class PowerSequence(IncreasingSequence):

@@ -485,7 +485,7 @@ def _sequence_tally(
         )
     kernel, dtype = _admit(index_bound - seq.first_index + 1, seq.value(index_bound), h,
                            strategy, DEFAULT_ENUMERATION_BUDGET, DEFAULT_DENSE_BUDGET)
-    values = [seq.value(n) for n in range(seq.first_index, index_bound + 1)]
+    values = seq.values_upto(seq.value(index_bound))
     return _run_kernel(values, h, kernel, dtype, threads)
 
 

@@ -13,17 +13,20 @@ their last two terms: it walks the candidate leading terms in fixed-size
 blocks and tests every completion in a block with one set of int64 numpy
 operations, falling back to Python ints only where a product could wrap.
 
-The range oracles (min_rep_table and the coverage scan) hold every set of
-reachable targets as packed little-endian uint64 words, bit j for target j;
-only the per-target counts are uint8. Shifting a set by a coin v becomes a
-byte offset of v // 8 applied to one of eight copies of the set pre-shifted
-by 0..7 bits, so one OR covers eight targets per byte. One kernel,
-_next_layer, does every such OR, and one builder, _layered_counts, grows
-the layers and reads a count off each. Coin v may shift only the layer's
-cells up to v, writing the window [v, 2v]: the layer of sums of at most two
-coins needs no more, since a pair's larger coin is one of its terms. The
-repeats table grows layer 2 through these windows and later layers over
-the whole range, stopping, exactly, as soon as every target is reached.
+The range oracles (min_rep_table, the surveys and the coverage scan) hold
+every set of reachable targets as packed little-endian uint64 words, bit j
+for target j; only the per-target counts are uint8. Shifting a set by a
+coin v becomes a byte offset of v // 8 applied to one of eight copies of
+the set pre-shifted by 0..7 bits, so one OR covers eight targets per byte.
+One kernel, _next_layer, does every such OR, and one walk, _layer_walk,
+grows the layers, which _layered_counts reads a count off. Coin v may shift
+only the layer's cells up to v, writing the window [v, 2v]: the layer of
+sums of at most two coins needs no more, since a pair's larger coin is one
+of its terms. Repeats layers grow layer 2 through these windows and later
+layers over the whole range, stopping, exactly, once every target is
+reached. A repeats survey reads the layers, with no per-target counts: the
+deepest layer adding a target in range, the first targets it adds, and the
+range targets the last layer misses. Distinct surveys read the table.
 The coverage scan is one distinct layer-2 call whose highest zero bit is
 the distinct answer; adding the doubles 2v gives the repeats layer and
 answer.
@@ -56,7 +59,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .binom import BinomialSequence, binom, count_upto, floor_index, gap
+from .binom import (_INT64_LIMIT, BinomialSequence, _binom_array, binom, count_upto,
+                    floor_index, gap)
 from .errors import ResourceBudgetError
 
 __all__ = [
@@ -103,7 +107,6 @@ _CARRY_SHIFTS = 64 - _PHASE_SHIFTS[1:]
 # every remainder (at most 2 C(top, k)) is below 2 ** 63, and the float
 # root estimates are off by far less than their 0.1 margin.
 _SCAN_BLOCK = 4096
-_INT64_LIMIT = 2**62
 
 
 class SearchMode(enum.Enum):
@@ -206,18 +209,6 @@ def greedy_chain(target: int, k: int) -> list[int]:
         n, remainder = greedy_leading_term(remainder, k)
         indices.append(n)
     return indices
-
-
-def _binom_array(n: np.ndarray, k: int) -> np.ndarray:
-    """C(n, k) for every entry of an int64 array n >= 0, exactly.
-
-    The falling product with division interleaved, as in binom; each
-    partial product is at most n ** k, so the caller keeps n ** k in int64.
-    """
-    out = n
-    for i in range(2, k + 1):
-        out = out * (n - (i - 1)) // i
-    return out
 
 
 def _two_term_completion(
@@ -481,6 +472,7 @@ def _next_layer(padded: np.ndarray, coins: list[int], windows: SearchMode | None
     range are padding, so windows are cut only at the end of the words.
     """
     phases = _bit_phases(padded)
+    rows = list(phases)
     words = padded[1:]
     out = words.view(np.uint8)
     size = out.size
@@ -488,7 +480,7 @@ def _next_layer(padded: np.ndarray, coins: list[int], windows: SearchMode | None
         for done, v in enumerate(coins, 1):
             offset = v >> 3
             dest = out[offset:]
-            np.bitwise_or(dest, phases[v & 7, : size - offset], out=dest)
+            np.bitwise_or(dest, rows[v & 7][: size - offset], dest)
             if done & (done - 1) == 0 and _full(words):
                 return
         return
@@ -497,54 +489,62 @@ def _next_layer(padded: np.ndarray, coins: list[int], windows: SearchMode | None
     v = np.asarray(coins, dtype=np.int64)
     ends = np.minimum(2 * v - (windows is SearchMode.DISTINCT), 8 * size - 1)
     starts, stops, bits = v >> 3, ends >> 3, v & 7
-    for start, stop, bit in zip(starts.tolist(), stops.tolist(), bits.tolist()):
-        dest = out[start:stop]
-        np.bitwise_or(dest, phases[bit, : stop - start], out=dest)
+    lengths = stops - starts
+    for start, n, bit in zip(starts.tolist(), lengths.tolist(), bits.tolist()):
+        dest = out[start : start + n]
+        np.bitwise_or(dest, rows[bit][:n], dest)
     masks = ((2 << (ends & 7)) - 1).astype(np.uint8)
-    np.bitwise_or.at(out, stops, phases[bits, stops - starts] & masks)
+    np.bitwise_or.at(out, stops, phases[bits, lengths] & masks)
+
+
+def _layer_walk(cells: int, coins: list[int], depth: int, mode: SearchMode):
+    """Layers 1..depth over [0, cells - 1]: one packed array with the
+    padding bits on, yielded per layer and grown into the next in place
+    when the walk resumes. Layer 1 is 0 and the coins.
+
+    Repeats layers grow through pair windows into layer 2 and over the
+    whole range after that, so layer t is every sum of at most t coins.
+    Distinct layers grow through DISTINCT windows at every layer: coin v
+    adds v to cells below v, each 0 or a sum of distinct coins below v, so
+    layer t holds only sums of at most t distinct coins, and layer 2 all of
+    them. Layer 3 misses a three-term sum only if in each such sum the two
+    smaller terms add up to at least the largest (at k = 2 only 110 = 55 +
+    45 + 10), and deeper layers miss more; _distinct_counts stops at
+    _WINDOW_DEPTH.
+    """
+    padded = np.zeros(-(-cells // 64) + 1, dtype=np.uint64)
+    reach = _set_bits(_with_padding(padded[1:], cells), [0, *coins])
+    yield reach
+    for layer in range(2, depth + 1):
+        _next_layer(padded, coins, mode if mode is SearchMode.DISTINCT or layer == 2 else None)
+        yield reach
 
 
 def _layered_counts(
     counts: np.ndarray, coins: list[int], depth: int, mode: SearchMode
 ) -> np.ndarray:
-    """Counts up to depth over [0, counts.size - 1] from packed layers,
+    """Counts up to depth over [0, counts.size - 1] from the layer walk,
     written into the uint8 array counts; returns counts.
 
-    Layer t is one packed bit set with the padding bits on; layer 1 sets 0
-    and the coins, and _next_layer grows each layer into the next in place.
     A cell's count is the first layer that reaches it, which is also the
     number of layers (from layer 0, which holds only 0) that miss it, so
-    each layer adds its complement to the counts before it grows. Cells no
-    layer up to depth reaches read EXCEEDS_CAP. The build stops early once
-    a layer reaches every cell.
-
-    Repeats layers grow through pair windows into layer 2 and over the
-    whole range after that: layer t is every sum of at most t coins, so the
-    counts are the exact DP values 1 + min(counts[N - v]). The coin 1 =
-    C(k, k) makes every layer grow until it is full.
-
-    Distinct layers grow through DISTINCT windows at every layer. Coin v
-    adds v to the layer's cells below v, each 0 or a sum of distinct coins
-    below v, so layer t holds only sums of at most t distinct coins, and
-    layer 2 holds all of them. Counts 1 and 2 are therefore exact, and a
-    cell first reached at layer 3 needs exactly 3. Layer 3 misses a sum of
-    three distinct coins only if in each such sum the two smaller terms add
-    up to at least the largest (at k = 2 only 110 = 55 + 45 + 10 does), and
-    such a cell reads EXCEEDS_CAP. Deeper distinct layers miss ever more;
-    _distinct_counts grows them only to _WINDOW_DEPTH.
+    each layer below depth adds its complement to the counts; cells layer
+    depth misses read EXCEEDS_CAP. The walk stops once a layer is full (the
+    coin 1 = C(k, k) fills every repeats layer in time). Repeats counts are
+    the exact DP values 1 + min(counts[N - v]). Distinct counts 1 and 2 are
+    exact, a first reach at layer 3 is exactly 3, and the three-term sums
+    layer 3 misses read EXCEEDS_CAP.
     """
     cells = counts.size
     counts.fill(1)
     counts[0] = 0
-    padded = np.zeros(-(-cells // 64) + 1, dtype=np.uint64)
-    reach = _set_bits(_with_padding(padded[1:], cells), [0, *coins])
-    for layer in range(2, depth + 1):
+    for layer, reach in enumerate(_layer_walk(cells, coins, depth, mode), 1):
         if _full(reach):
             break
-        counts += _unpack(~reach, cells)
-        _next_layer(padded, coins, mode if mode is SearchMode.DISTINCT or layer == 2 else None)
-    if not _full(reach):
-        counts[_unpack(~reach, cells)] = EXCEEDS_CAP
+        if layer < depth:
+            counts += _unpack(~reach, cells)
+        else:
+            counts[_unpack(~reach, cells)] = EXCEEDS_CAP
     return counts
 
 
@@ -768,7 +768,7 @@ def min_rep_table(
         counts[0] = 0
         return MinRepTable(k, range_end, cap, mode, counts)
 
-    coins = [binom(n, k) for n in range(k, top + 1)]
+    coins = BinomialSequence(k).values_upto(range_end)
     counts = np.empty(range_end + 1, dtype=np.uint8)
     if repeats:
         _layered_counts(counts, coins, cap, mode)
@@ -792,30 +792,54 @@ class MinRepSurvey:
     exception_count: int
 
 
-# survey scans list hit positions this many cells at a time
+# surveys list set bits this many words at a time
 _HIT_WINDOW = 4096
 
 
-def _first_hits(mask: np.ndarray, limit: int, offset: int) -> list[int]:
-    """Positions (plus offset) of the first limit True cells of mask,
-    ascending.
-
-    argmax jumps to the next True cell; positions are then listed only
-    within a window after it, so no index array grows with the mask.
-    """
+def _first_bits(words: np.ndarray, limit: int, offset: int) -> list[int]:
+    """Positions (plus offset) of the first limit set bits, ascending, of a
+    packed set in unsigned words of any width, listed a window at a time."""
+    width = 8 * words.itemsize
     hits: list[int] = []
-    start = 0
-    while len(hits) < limit:
-        rest = mask[start:]
-        if not rest.size:
-            break
-        first = int(rest.argmax())
-        if not rest[first]:
-            break
-        window = np.flatnonzero(rest[first : first + _HIT_WINDOW])
-        hits.extend((window[: limit - len(hits)] + offset + start + first).tolist())
-        start += first + _HIT_WINDOW
+    for start in range(0, words.size, _HIT_WINDOW):
+        for w in (np.flatnonzero(words[start : start + _HIT_WINDOW]) + start).tolist():
+            x = int(words[w])
+            while x:
+                if len(hits) == limit:
+                    return hits
+                hits.append(offset + width * w + (x & -x).bit_length() - 1)
+                x &= x - 1
     return hits
+
+
+def _survey_layers(k: int, n_min: int, n_max: int, cap: int, max_witnesses: int,
+                   memory_budget: int) -> tuple[int | None, list[int], np.ndarray, int]:
+    """A repeats survey off the layer walk, with no per-target counts: the
+    max terms, the witnesses, the packed targets still missing at the end
+    and the target of their bit 0. Of each layer only the words over the
+    range are read: layer t adds to seen (the range bits reached so far)
+    the targets that need exactly t terms. The walk stops once seen fills
+    the range, or at the cap."""
+    lo, hi = n_min >> 6, n_max >> 6
+    span = hi - lo + 1
+    held = _COIN_BYTES * count_upto(k, n_max) + _CALL_BYTES
+    _check_budget(held + _layers_bytes(n_max + 1) + 24 * span, memory_budget, "survey working set")
+    coins = BinomialSequence(k).values_upto(n_max)
+    mask = np.full(span, _ALL, dtype=np.uint64)
+    mask[0] &= np.uint64(_ALL << (n_min & 63) & _ALL)
+    mask[-1] &= np.uint64(_ALL >> (63 - (n_max & 63)))
+    seen = np.zeros(span, dtype=np.uint64)
+    fresh = np.empty(span, dtype=np.uint64)
+    best, hits = None, []
+    for layer, reach in enumerate(_layer_walk(n_max + 1, coins, cap, SearchMode.REPEATS), 1):
+        np.bitwise_and(reach[lo : hi + 1], mask, out=fresh)
+        np.bitwise_xor(fresh, seen, out=seen)
+        if seen.any():
+            best, hits = layer, _first_bits(seen, max_witnesses, 64 * lo)
+        seen, fresh = fresh, seen
+        if np.array_equal(seen, mask):
+            break
+    return best, hits, np.bitwise_xor(mask, seen, out=fresh), 64 * lo
 
 
 def survey_min_rep(
@@ -831,25 +855,34 @@ def survey_min_rep(
 ) -> MinRepSurvey:
     """Largest minimal summand count over [n_min, n_max], with witnesses.
 
-    Builds the dense table once, then scans its targets n_min..n_max: the
-    largest count, the first targets that reach it (witnesses) and the first
-    with no representation within the cap (exceptions, not failures), both
-    in ascending target order and truncated to their configured limits.
+    Reports the largest count, the first targets that reach it (witnesses)
+    and the first with no representation within the cap (exceptions, not
+    failures), both in ascending target order and truncated to their
+    configured limits. A repeats survey at k >= 2 reads them off the packed
+    layers (_survey_layers) and holds no per-target counts; a distinct
+    survey, and k = 1, scan the min_rep_table.
     """
     mode = SearchMode.coerce(mode)
     if not (1 <= n_min <= n_max):
         raise ValueError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
     if cap is None:
         cap = DEFAULT_SURVEY_CAP[mode]
-    table = min_rep_table(k, n_max, cap, mode, memory_budget=memory_budget)
-    counts = table.counts[n_min:]
-    best = int(counts.max())
-    if best == EXCEEDS_CAP:
-        # uint8 wraparound sends EXCEEDS_CAP to 0 and every count c to c + 1
-        best = int((counts + 1).max()) - 1
-    max_terms = None if best < 0 else best
-    hits = [] if max_terms is None else _first_hits(counts == best, max_witnesses, n_min)
-    missing = counts == EXCEEDS_CAP
+    if k > 1 and mode is SearchMode.REPEATS:
+        if not (1 <= cap <= CAP_MAX):
+            raise ValueError(f"cap must be in [1, {CAP_MAX}], got {cap}")
+        max_terms, hits, missing, offset = _survey_layers(
+            k, n_min, n_max, cap, max_witnesses, memory_budget
+        )
+    else:
+        counts = min_rep_table(k, n_max, cap, mode, memory_budget=memory_budget).counts[n_min:]
+        best = int(counts.max())
+        if best == EXCEEDS_CAP:
+            # uint8 wraparound sends EXCEEDS_CAP to 0 and every count c to c + 1
+            best = int((counts + 1).max()) - 1
+        max_terms = None if best < 0 else best
+        hits = [] if max_terms is None else _first_bits(
+            np.packbits(counts == best, bitorder="little"), max_witnesses, n_min)
+        missing, offset = np.packbits(counts == EXCEEDS_CAP, bitorder="little"), n_min
     return MinRepSurvey(
         order=k,
         mode=mode,
@@ -857,9 +890,9 @@ def survey_min_rep(
         n_max=n_max,
         cap=cap,
         max_terms=max_terms,
-        witnesses=tuple((n, best) for n in hits),
-        exceptions=tuple(_first_hits(missing, max_exceptions, n_min)),
-        exception_count=int(np.count_nonzero(missing)),
+        witnesses=tuple((n, max_terms) for n in hits),
+        exceptions=tuple(_first_bits(missing, max_exceptions, offset)),
+        exception_count=int(np.bitwise_count(missing).sum()),
     )
 
 
@@ -881,23 +914,20 @@ def sumset_coverage_threshold(
     is fully covered. Distinct mode requires the two indices to differ; a
     lone triangular number or 0 still counts as covered in both modes.
 
-    Both answers come from one scan. The covered set is the packed layer of
-    0 and the triangular numbers up to r_max, grown once by _next_layer
-    through its distinct pair windows ([v, 2v - 1] from triangular v):
-    layer 2 of the order-2 distinct table. Repeats pairs add only the
-    doubles 2v, so their layer is the same set with those bits on. Each
-    answer is read from its layer's highest zero bit.
+    Both answers come from one scan. The covered set is layer 2 of the
+    order-2 distinct layer walk: 0 and the triangular numbers up to r_max,
+    grown once through the pair windows [v, 2v - 1] of triangular v.
+    Repeats pairs add only the doubles 2v, so their layer is the same set
+    with those bits on. Each answer is read from its layer's highest zero
+    bit.
     """
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    cells = r_max + 1
-    words = -(-cells // 64)
-    required = _layer_bytes(words) + _COIN_BYTES * count_upto(2, r_max) + _CALL_BYTES
+    required = _layer_bytes(-(-(r_max + 1) // 64)) + _COIN_BYTES * count_upto(2, r_max)
+    required += _CALL_BYTES
     _check_budget(required, memory_budget, "coverage scan")
     values = BinomialSequence(2).values_upto(r_max)
-    padded = np.zeros(words + 1, dtype=np.uint64)
-    reach = _set_bits(_with_padding(padded[1:], cells), [0, *values])
-    _next_layer(padded, values, SearchMode.DISTINCT)
+    *_, reach = _layer_walk(r_max + 1, values, 2, SearchMode.DISTINCT)
     distinct = _blocked_threshold(reach, r_max)
     _set_bits(reach, [2 * v for v in values[: bisect.bisect_right(values, r_max // 2)]])
     return CoverageThresholds(_blocked_threshold(reach, r_max), distinct)

@@ -2,6 +2,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from binsum import (
     floor_index,
     gap,
 )
+from binsum.binom import _binom_array
 
 
 def pascal_rows(n_max: int) -> list[list[int]]:
@@ -198,6 +200,33 @@ def test_sequence_values_are_strictly_increasing(k, bound):
     values = BinomialSequence(k).values_upto(bound)
     assert all(a < b for a, b in zip(values, values[1:]))
     assert all(v <= bound for v in values)
+
+
+def _int64_top(k: int) -> int:
+    """The largest n with n ** k below 2 ** 62, where values_upto's int64
+    pass ends."""
+    n = math.isqrt(2**62) if k == 2 else int(2 ** (62 / k))
+    while n**k >= 2**62:
+        n -= 1
+    while (n + 1) ** k < 2**62:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_binomial_values_upto_equals_binom_on_both_sides_of_int64(k):
+    seq = BinomialSequence(k)
+    top = _int64_top(k)
+    # full lists wherever they stay small, up to where an int64 pass would
+    # wrap; at k <= 3 the lists by the int64 limit are millions of values
+    # long, so only the int64 pass (binom._binom_array) is checked there, on
+    # its last indices
+    near = (binom(top, k), binom(top + 1, k), binom(2 * top, k))
+    for bound in (1, 999, 10**5) if k <= 3 else (1, 999, *near):
+        want = [binom(n, k) for n in range(k, floor_index(k, bound) + 1)]
+        assert seq.values_upto(bound) == want, bound
+    n = np.arange(max(k, top - 200), top + 1, dtype=np.int64)
+    assert _binom_array(n, k).tolist() == [binom(int(i), k) for i in n]
 
 
 def test_power_sequence_basics():

@@ -21,6 +21,8 @@ CASES = {
     "survey-min-rep-distinct": ["survey", "--kind", "min-rep", "--k", "2", "--n", "40",
                                 "--mode", "distinct"],
     "survey-survey-H": ["survey", "--kind", "survey-H", "--k", "3", "--max", "2000"],
+    "survey-survey-H-capped": ["survey", "--kind", "survey-H", "--k", "3", "--n-min", "20",
+                               "--max", "5000", "--cap", "4"],
     "survey-survey-H-distinct": ["survey", "--kind", "survey-H", "--k", "2", "--n-min", "5",
                                  "--max", "500", "--mode", "distinct", "--cap", "6",
                                  "--max-witnesses", "3"],
@@ -171,6 +173,12 @@ GOLDEN = {
     ("survey-survey-H", "csv"): (
         "59134b11fbc15154982eaed071d1747c29458af72ff75e0b022f4ab9331cc543",
         "f42b0e39c284c719d65ac7605e28391dce6260545012ec25901d363b43616412"),
+    ("survey-survey-H-capped", "json"): (
+        "74b3ca40c6c819815823a82f0078054f31a1b7cd97b81a154a34dc6c46eb72c9",
+        "e83c6bd8e7c718374a573abec2d6167e6d540a0aa7606d9ce032be4eb75a9868"),
+    ("survey-survey-H-capped", "csv"): (
+        "cb616a6295100ff8c884bc95b40a0b8076ecb5b7bf1aa4a1a36cd9bf2a4585aa",
+        "e83c6bd8e7c718374a573abec2d6167e6d540a0aa7606d9ce032be4eb75a9868"),
     ("survey-survey-H-distinct", "json"): (
         "8f3b867d3dc4081878bff346340379916e156c7404fcb242177e72c0aa60c322",
         "cfdd13fb1f294c8d3a3272c6735b4acc082d723bfd93f2f17e00f22c059dcf0c"),

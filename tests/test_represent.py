@@ -845,7 +845,44 @@ class TestDistinctWindows:
             assert np.array_equal(got, bytewise_distinct_table(n, coins, CAP_MAX)), n
 
 
+def table_survey(k: int, n_min: int, n_max: int, cap: int, witnesses: int, exceptions: int):
+    """A survey's (max_terms, witnesses, exceptions, exception_count), read
+    from a scan of the min_rep_table counts over [n_min, n_max]."""
+    counts = min_rep_table(k, n_max, cap).counts[n_min:]
+    reached = counts[counts != EXCEEDS_CAP]
+    best = int(reached.max()) if reached.size else None
+    hits = np.flatnonzero(counts == best)[:witnesses] + n_min if reached.size else []
+    missing = np.flatnonzero(counts == EXCEEDS_CAP) + n_min
+    return (best, tuple((int(n), best) for n in hits), tuple(missing[:exceptions].tolist()),
+            missing.size)
+
+
 class TestSurvey:
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_repeats_survey_equals_table_scan(self, k):
+        # the layer read of a repeats survey against the counts it skips:
+        # range ends on both sides of a word end, n_min at 1 and past it
+        rng = random.Random(2800 + k)
+        for n_max in (63, 64, 65, 4095, 4096, 4097):
+            for n_min in (1, rng.randint(2, n_max)):
+                for cap in (1, 2, 3, 5, CAP_MAX):
+                    for w, e in itertools.product((0, 1, 120), repeat=2):
+                        s = survey_min_rep(k, n_min, n_max, cap=cap, max_witnesses=w,
+                                           max_exceptions=e)
+                        got = (s.max_terms, s.witnesses, s.exceptions, s.exception_count)
+                        assert got == table_survey(k, n_min, n_max, cap, w, e), (
+                            n_min, n_max, cap, w, e)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_repeats_traced_peak_within_estimate(self, monkeypatch, k):
+        n = 2 * 10**5
+        # refused before the coins or any layer are listed
+        refused = traced_peak(lambda: pytest.raises(ResourceBudgetError, survey_min_rep,
+                                                    k, 1, n, memory_budget=0))
+        assert refused < n // 8
+        peak, estimate = peak_and_estimate(monkeypatch, lambda: survey_min_rep(k, 1, n))
+        assert peak <= estimate
+
     def test_small_survey_order_two(self):
         s = survey_min_rep(2, 1, 1000)
         assert s.max_terms == 3
