@@ -100,7 +100,6 @@ _CALL_BYTES = 16 * 1024
 # target j. Byte views of the words assume a little-endian host.
 _ALL = 2**64 - 1
 _PHASE_SHIFTS = np.arange(8, dtype=np.uint64)[:, None]
-_CARRY_SHIFTS = 64 - _PHASE_SHIFTS[1:]
 
 # The two-term completion tests this many candidates per numpy pass, in
 # int64 only while top ** k < _INT64_LIMIT: then every partial product and
@@ -449,10 +448,12 @@ def _bit_phases(padded: np.ndarray) -> np.ndarray:
 
     padded is the set after one zero word, which feeds the carry into word
     0. Copy v % 8 placed at byte v // 8 puts bit j of the set on bit j + v,
-    so a shift by v bits becomes a byte offset.
+    so a shift by v bits becomes a byte offset. The carries go in one row
+    at a time, so only one row-sized temporary exists at once.
     """
     phases = padded[1:] << _PHASE_SHIFTS
-    phases[1:] |= padded[:-1] >> _CARRY_SHIFTS
+    for p in range(1, 8):
+        phases[p] |= padded[:-1] >> np.uint64(64 - p)
     return phases.view(np.uint8)
 
 
@@ -699,9 +700,8 @@ def _check_budget(required: int, budget: int, what: str = "min_rep_table working
 
 def _layer_bytes(words: int) -> int:
     """Peak bytes of _next_layer on a layer of the given number of words:
-    the layer after a zero word, its eight bit phases and the seven carry
-    rows built with them."""
-    return 8 * (16 * words + 1)
+    the layer after a zero word, its eight bit phases and one carry row."""
+    return 8 * (10 * words + 1)
 
 
 def _layers_bytes(cells: int) -> int:
