@@ -19,17 +19,15 @@ for target j; only the per-target counts are uint8. Shifting a set by a
 coin v becomes a byte offset of v // 8 applied to one of eight copies of
 the set pre-shifted by 0..7 bits, so one OR covers eight targets per byte.
 One kernel, _next_layer, does every such OR, and one walk, _layer_walk,
-grows the layers, which _layered_counts reads a count off. Coin v may shift
-only the layer's cells up to v, writing the window [v, 2v]: the layer of
-sums of at most two coins needs no more, since a pair's larger coin is one
-of its terms. Repeats layers grow layer 2 through these windows and later
-layers over the whole range, stopping, exactly, once every target is
-reached. A repeats survey reads the layers, with no per-target counts: the
-deepest layer adding a target in range, the first targets it adds, and the
-range targets the last layer misses. Distinct surveys read the table.
-The coverage scan is one distinct layer-2 call whose highest zero bit is
-the distinct answer; adding the doubles 2v gives the repeats layer and
-answer.
+grows the layers. Coin v may shift only the layer's cells up to v, writing
+the window [v, 2v]: the layer of sums of at most two coins needs no more,
+since a pair's larger coin is one of its terms. Repeats layers grow layer 2
+through these windows and later layers over the whole range, stopping,
+exactly, once every target is reached. The repeats table reads a count off
+each layer; a repeats survey reads only the layers' new bits in range, and
+a distinct survey reads the table. The coverage scan is one distinct
+layer-2 call whose highest zero bit is the distinct answer; adding the
+doubles 2v gives the repeats layer and answer.
 
 Distinct windows ([v, 2v - 1]) add only sums of distinct coins to a layer
 of such sums, and grow layer 1 into all sums of two, so a distinct table
@@ -473,7 +471,6 @@ def _next_layer(padded: np.ndarray, coins: list[int], windows: SearchMode | None
     range are padding, so windows are cut only at the end of the words.
     """
     phases = _bit_phases(padded)
-    rows = list(phases)
     words = padded[1:]
     out = words.view(np.uint8)
     size = out.size
@@ -481,7 +478,7 @@ def _next_layer(padded: np.ndarray, coins: list[int], windows: SearchMode | None
         for done, v in enumerate(coins, 1):
             offset = v >> 3
             dest = out[offset:]
-            np.bitwise_or(dest, rows[v & 7][: size - offset], dest)
+            np.bitwise_or(dest, phases[v & 7, : size - offset], out=dest)
             if done & (done - 1) == 0 and _full(words):
                 return
         return
@@ -490,12 +487,11 @@ def _next_layer(padded: np.ndarray, coins: list[int], windows: SearchMode | None
     v = np.asarray(coins, dtype=np.int64)
     ends = np.minimum(2 * v - (windows is SearchMode.DISTINCT), 8 * size - 1)
     starts, stops, bits = v >> 3, ends >> 3, v & 7
-    lengths = stops - starts
-    for start, n, bit in zip(starts.tolist(), lengths.tolist(), bits.tolist()):
-        dest = out[start : start + n]
-        np.bitwise_or(dest, rows[bit][:n], dest)
+    for start, stop, bit in zip(starts.tolist(), stops.tolist(), bits.tolist()):
+        dest = out[start:stop]
+        np.bitwise_or(dest, phases[bit, : stop - start], out=dest)
     masks = ((2 << (ends & 7)) - 1).astype(np.uint8)
-    np.bitwise_or.at(out, stops, phases[bits, lengths] & masks)
+    np.bitwise_or.at(out, stops, phases[bits, stops - starts] & masks)
 
 
 def _layer_walk(cells: int, coins: list[int], depth: int, mode: SearchMode):
@@ -798,38 +794,42 @@ _HIT_WINDOW = 4096
 
 def _first_bits(words: np.ndarray, limit: int, offset: int) -> list[int]:
     """Positions (plus offset) of the first limit set bits, ascending, of a
-    packed set in unsigned words of any width, listed a window at a time."""
+    packed set in unsigned words of any width, a window at a time, each
+    unpacking only as many of its nonzero words as hits are still wanted."""
     width = 8 * words.itemsize
     hits: list[int] = []
     for start in range(0, words.size, _HIT_WINDOW):
-        for w in (np.flatnonzero(words[start : start + _HIT_WINDOW]) + start).tolist():
-            x = int(words[w])
-            while x:
-                if len(hits) == limit:
-                    return hits
-                hits.append(offset + width * w + (x & -x).bit_length() - 1)
-                x &= x - 1
+        if len(hits) >= limit:
+            break
+        w = np.flatnonzero(words[start : start + _HIT_WINDOW])[: limit - len(hits)] + start
+        if w.size:
+            at = np.flatnonzero(np.unpackbits(words[w].view(np.uint8), bitorder="little"))
+            hits += (offset + width * w[at // width] + at % width)[: limit - len(hits)].tolist()
     return hits
+
+
+def _bit_count(words: np.ndarray) -> int:
+    """Set bits of a packed set, unpacked a window at a time (np.bitwise_count needs NumPy 2)."""
+    b = words[words != 0].view(np.uint8)
+    return sum(int(np.count_nonzero(np.unpackbits(b[i : i + 8 * _HIT_WINDOW])))
+               for i in range(0, b.size, 8 * _HIT_WINDOW))
 
 
 def _survey_layers(k: int, n_min: int, n_max: int, cap: int, max_witnesses: int,
                    memory_budget: int) -> tuple[int | None, list[int], np.ndarray, int]:
     """A repeats survey off the layer walk, with no per-target counts: the
     max terms, the witnesses, the packed targets still missing at the end
-    and the target of their bit 0. Of each layer only the words over the
-    range are read: layer t adds to seen (the range bits reached so far)
-    the targets that need exactly t terms. The walk stops once seen fills
-    the range, or at the cap."""
+    and the target of their bit 0. Layer t adds to seen (the range bits
+    reached so far) the targets that need exactly t terms. The walk stops
+    once seen fills the range, or at the cap."""
     lo, hi = n_min >> 6, n_max >> 6
-    span = hi - lo + 1
-    held = _COIN_BYTES * count_upto(k, n_max) + _CALL_BYTES
-    _check_budget(held + _layers_bytes(n_max + 1) + 24 * span, memory_budget, "survey working set")
+    held = _COIN_BYTES * count_upto(k, n_max) + _CALL_BYTES + 24 * (hi - lo + 1)
+    _check_budget(held + _layers_bytes(n_max + 1), memory_budget, "survey working set")
     coins = BinomialSequence(k).values_upto(n_max)
-    mask = np.full(span, _ALL, dtype=np.uint64)
+    mask = np.full(hi - lo + 1, _ALL, dtype=np.uint64)
     mask[0] &= np.uint64(_ALL << (n_min & 63) & _ALL)
     mask[-1] &= np.uint64(_ALL >> (63 - (n_max & 63)))
-    seen = np.zeros(span, dtype=np.uint64)
-    fresh = np.empty(span, dtype=np.uint64)
+    seen, fresh = np.zeros_like(mask), np.empty_like(mask)
     best, hits = None, []
     for layer, reach in enumerate(_layer_walk(n_max + 1, coins, cap, SearchMode.REPEATS), 1):
         np.bitwise_and(reach[lo : hi + 1], mask, out=fresh)
@@ -892,7 +892,7 @@ def survey_min_rep(
         max_terms=max_terms,
         witnesses=tuple((n, max_terms) for n in hits),
         exceptions=tuple(_first_bits(missing, max_exceptions, offset)),
-        exception_count=int(np.bitwise_count(missing).sum()),
+        exception_count=_bit_count(missing),
     )
 
 

@@ -873,6 +873,37 @@ class TestSurvey:
                         assert got == table_survey(k, n_min, n_max, cap, w, e), (
                             n_min, n_max, cap, w, e)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64])
+    def test_set_bits_listed_and_counted_across_windows(self, monkeypatch, dtype):
+        # two-word windows, so hits run across many windows
+        monkeypatch.setattr(represent, "_HIT_WINDOW", 2)
+        rng = np.random.default_rng(2801)
+        for density in (0.0, 0.01, 0.5, 1.0):
+            bits = rng.random(64 * 13) < density
+            words = np.packbits(bits, bitorder="little").view(dtype)
+            where = (np.flatnonzero(bits) + 7).tolist()
+            for limit in (0, 1, 5, 64, 10**9):
+                assert represent._first_bits(words, limit, 7) == where[:limit], (density, limit)
+            assert represent._bit_count(words) == len(where)
+
+    @pytest.mark.parametrize("mode", ["repeats", "distinct"])
+    def test_survey_without_numpy_bitwise_count(self, monkeypatch, mode):
+        # NumPy before 2.0 has no bitwise_count; the floor is 1.24
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        for k in (1, 3):
+            s = survey_min_rep(k, 20, 5000, mode, cap=2)
+            assert s.exception_count == int(np.count_nonzero(
+                min_rep_table(k, 5000, 2, mode).counts[20:] == EXCEEDS_CAP))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_repeats_survey_with_unbounded_limits(self, k):
+        # every witness and every exception of a capped range
+        for cap in (2, 3):
+            s = survey_min_rep(k, 5, 20000, cap=cap, max_witnesses=10**9,
+                               max_exceptions=10**9)
+            got = (s.max_terms, s.witnesses, s.exceptions, s.exception_count)
+            assert got == table_survey(k, 5, 20000, cap, 10**9, 10**9), cap
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_repeats_traced_peak_within_estimate(self, monkeypatch, k):
         n = 2 * 10**5
