@@ -446,8 +446,7 @@ def _bit_phases(padded: np.ndarray) -> np.ndarray:
 
     padded is the set after one zero word, which feeds the carry into word
     0. Copy v % 8 placed at byte v // 8 puts bit j of the set on bit j + v,
-    so a shift by v bits becomes a byte offset. The carries go in one row
-    at a time, so only one row-sized temporary exists at once.
+    so a shift by v bits becomes a byte offset. Carries go in row by row.
     """
     phases = padded[1:] << _PHASE_SHIFTS
     for p in range(1, 8):
@@ -521,7 +520,8 @@ def _layered_counts(
     counts: np.ndarray, coins: list[int], depth: int, mode: SearchMode
 ) -> np.ndarray:
     """Counts up to depth over [0, counts.size - 1] from the layer walk,
-    written into the uint8 array counts; returns counts.
+    written into the uint8 array counts; returns counts. Distinct surveys
+    read these counts, repeats surveys the walk itself (_survey_layers).
 
     A cell's count is the first layer that reaches it, which is also the
     number of layers (from layer 0, which holds only 0) that miss it, so
