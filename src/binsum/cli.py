@@ -80,6 +80,8 @@ _OPTIONS: dict[str, tuple[str, dict]] = {
         type=int, help="Abort (exit 3) if the working set would exceed this many bytes.")),
     "mode": ("--mode", dict(choices=[m.value for m in SearchMode],
                             help="Whether summands may repeat.")),
+    "algorithm": ("--algorithm", dict(choices=["greedy", "exact"], default="greedy", help=(
+        "greedy (default): constructive route; exact: fewest terms up to --h-max."))),
     "out": ("--out", dict(type=Path, help="Write the record(s) to this file.")),
     "fmt": ("--format", dict(choices=["json", "csv"], default="json",
                              help="Export format for --out (default: json).")),
@@ -88,17 +90,26 @@ _OPTIONS: dict[str, tuple[str, dict]] = {
     "threads": ("--threads", dict(
         type=int, help="Threads for the dense energy fold (default: all cores), at most "
         "one per 100,000 cells of its result. Never changes results.")),
-    "algorithm": ("--algorithm", dict(choices=["greedy", "exact"], default="greedy", help=(
-        "greedy (default): constructive route; exact: fewest terms up to --h-max."))),
 }
 # options every command takes: where to write and how to run
 _KNOBS = ("out", "fmt", "cache_dir", "threads")
 
 
+def _option(name: str) -> str:
+    """The option that carries a parameter: an exponent fit's bounds are its --x."""
+    return "x" if name == "bounds" else name
+
+
+def _options_of(kinds: Sequence[str]) -> set[str]:
+    """The options that carry the kinds' parameters, and the knobs they read."""
+    return {*_KNOBS, *(_option(name) for kind in kinds for name in CSV_FIELDS[kind][0]),
+            *["memory_budget"] * any(KINDS[kind].budgeted for kind in kinds)}
+
+
 def _usage_error(exc: Exception, command: str | None = None) -> _UsageError:
     """exc as a usage error; a missing parameter is named with its option."""
     if isinstance(exc, MissingParameterError):
-        flag = _OPTIONS["x" if exc.name == "bounds" else exc.name][0]
+        flag = _OPTIONS[_option(exc.name)][0]
         return _UsageError(f"{command or exc.kind} requires parameter {exc.name!r} ({flag})")
     return _UsageError(str(exc))
 
@@ -124,25 +135,19 @@ def _export(records: list[SurveyRecord], fmt: str, out: Path | None) -> None:
 
 
 def _run_and_report(kind: str, options: dict, command: str) -> SurveyRecord:
-    """Run one kind with its parameters taken from the given options of the
-    same names, print its summary line and export it to --out if given.
-
-    The options are admitted first, in place: --x becomes the kind's bounds
-    or its single x, and an option the kind does not take is refused, in
-    messages that name command; only budgeted kinds take --memory-budget.
-    """
-    names = CSV_FIELDS[kind][0]
-    knobs = (*_KNOBS, "memory_budget") if KINDS[kind].budgeted else _KNOBS
-    if "bounds" in names and "x" in options:
-        options["bounds"] = options.pop("x")
-    elif "x" in names and "x" in options:
-        if len(options["x"]) > 1:
+    """Run one kind with its parameters taken from the options that carry
+    them, print its summary line and export it to --out if given. A kind
+    with one x takes one --x, and the options the kind does not take are
+    refused, in messages that name command."""
+    params = {name: options[_option(name)] for name in CSV_FIELDS[kind][0]
+              if _option(name) in options}
+    if "x" in params:
+        if len(params["x"]) > 1:
             raise _UsageError(f"{command} takes a single --x")
-        options["x"] = options["x"][0]
-    foreign = [_OPTIONS[name][0] for name in options if name not in (*names, *knobs)]
+        params["x"] = params["x"][0]
+    foreign = [_OPTIONS[name][0] for name in options if name not in _options_of([kind])]
     if foreign:
         raise _UsageError(f"{command} takes no {', '.join(foreign)}")
-    params = {name: options[name] for name in names if name in options}
     threads = options["threads"] if "threads" in options else os.cpu_count() or 1
     cache_dir = options.get("cache_dir") or os.environ.get(CACHE_ENV_VAR)
     try:
@@ -215,11 +220,6 @@ def decompose(algorithm: str, fmt: str, out: Path | None = None, cache_dir=None,
         print(f"wrote {out}")
 
 
-def min_rep(**options) -> None:
-    """Fewest summands for one target, or report that h-max is exceeded."""
-    _run_and_report("min-rep", options, "min-rep")
-
-
 def survey(kind: str, **options) -> None:
     """Run any experiment kind and export its record.
 
@@ -237,16 +237,6 @@ def energy(**options) -> None:
         _run_and_report("energy", options, "energy")
 
 
-def coverage(**options) -> None:
-    """Largest R <= r-max where [R/2, R] misses a two-triangular sum, per mode."""
-    _run_and_report("coverage-threshold", options, "coverage")
-
-
-def fit(**options) -> None:
-    """Fit the growth exponent of the h-fold energy across value bounds."""
-    _run_and_report("exponent-fit", options, "fit")
-
-
 def table(out: Path | None = None, x: Sequence[int] = (), **options) -> None:
     """Counts of sequence values up to X and their ratio to leading order."""
     # one row per --x; none at all still runs once, so the missing x is reported
@@ -255,30 +245,36 @@ def table(out: Path | None = None, x: Sequence[int] = (), **options) -> None:
     _export(records, options["fmt"], out)
 
 
-# command -> (handler, the options it takes before the _KNOBS)
-_COMMANDS: dict[str, tuple[Callable[..., None], tuple[str, ...]]] = {
-    "decompose": (decompose, ("k", "n", "h_max", "mode", "algorithm")),
-    "min-rep": (min_rep, ("k", "n", "h_max", "mode")),
-    # survey takes every option but the knobs and decompose's --algorithm
-    "survey": (survey, tuple(name for name in _OPTIONS if name not in (*_KNOBS, "algorithm"))),
-    "energy": (energy, ("k", "h", "index_bound", "x", "convention", "c", "sequence", "top")),
-    "coverage": (coverage, ("k", "r_max", "memory_budget")),
-    "fit": (fit, ("k", "h", "x", "sequence")),
-    "table": (table, ("k", "x")),
+# command -> (handler, the kinds whose parameters it takes as options, its own
+# options); a command with a help line for a handler runs its one kind as given
+_COMMANDS: dict[str, tuple[Callable[..., None] | str, Sequence[str], tuple[str, ...]]] = {
+    "decompose": (decompose, ["min-rep"], ("algorithm",)),
+    "min-rep": ("Fewest summands for one target, or report that h-max is exceeded.",
+                ["min-rep"], ()),
+    "survey": (survey, EXPERIMENT_KINDS, ("kind",)),
+    "energy": (energy, ["energy", "restricted-sums"], ()),
+    "coverage": ("Largest R <= r-max where [R/2, R] misses a two-triangular sum, per mode.",
+                 ["coverage-threshold"], ()),
+    "fit": ("Fit the growth exponent of the h-fold energy across value bounds.",
+            ["exponent-fit"], ()),
+    "table": (table, ["asymptotic-ratio"], ()),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """One parser for every command; a handler receives only the options given."""
+    """One parser for every command, each listing its options in _OPTIONS order;
+    a handler receives only the options given."""
     parser = _Parser(prog="binsum", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
-    for command, (handler, names) in _COMMANDS.items():
-        sub = commands.add_parser(command, help=(handler.__doc__ or "").split("\n")[0],
-                                  description=handler.__doc__, argument_default=argparse.SUPPRESS)
-        for name in (*names, *_KNOBS):
-            flag, attrs = _OPTIONS[name]
-            sub.add_argument(flag, dest=name, **attrs)
+    for command, (run, kinds, own) in _COMMANDS.items():
+        doc = run if isinstance(run, str) else run.__doc__
+        sub = commands.add_parser(command, help=doc.split("\n")[0], description=doc,
+                                  argument_default=argparse.SUPPRESS)
+        taken = {*own, *_options_of(kinds)}
+        for name, (flag, attrs) in _OPTIONS.items():
+            if name in taken:
+                sub.add_argument(flag, dest=name, **attrs)
     return parser
 
 
@@ -293,7 +289,12 @@ def main(argv: list[str] | None = None) -> int:
             _check_out(options["out"])
         if options.get("threads", 1) < 1:
             raise _UsageError("--threads must be >= 1")
-        _COMMANDS[options.pop("command")][0](**options)
+        command = options.pop("command")
+        run, kinds, _ = _COMMANDS[command]
+        if isinstance(run, str):
+            _run_and_report(kinds[0], options, command)
+        else:
+            run(**options)
     except SystemExit:  # only --help and --version exit the parser
         return 0
     except (_UsageError, OSError) as exc:  # OSError: an --out or --cache-dir path

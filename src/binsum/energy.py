@@ -50,7 +50,7 @@ from fractions import Fraction
 import numpy as np
 
 from .binom import SEQUENCES, IncreasingSequence
-from .errors import ResourceBudgetError
+from .errors import ResourceBudgetError, _charge_text
 
 __all__ = [
     "EnergyReport",
@@ -377,10 +377,22 @@ def _fold_counts(values: list[int], h: int, threads: int) -> np.ndarray:
 
 def _mitm_pairs(count: int, top: int, h: int) -> int:
     """mitm's cross pairs, bounded by the distinct sums of each half of j
-    positive values: one per multiset, one per integer in [j, j * top]."""
+    positive values: one per multiset, one per integer in [j, j * top]. A
+    binomial C(n, m) with m <= n / 2 is at least 2**m, so one that must pass
+    the second bound is never built."""
     from math import comb, prod
 
-    return prod(min(comb(count + j - 1, j), j * (top - 1) + 1) for j in (h // 2, h - h // 2))
+    def distinct(j: int) -> int:
+        n, cap = count + j - 1, j * (top - 1) + 1
+        return cap if min(j, n - j) > cap.bit_length() else min(comb(n, j), cap)
+
+    return prod(distinct(j) for j in (h // 2, h - h // 2))
+
+
+def _power_over(base: int, power: int, limit: int) -> bool:
+    """base**power > limit, from bit lengths where the power is surely longer
+    than limit: no power is built past twice limit's length."""
+    return power * (base.bit_length() - 1) >= limit.bit_length() or base**power > limit
 
 
 def _admit(
@@ -399,48 +411,53 @@ def _admit(
     Python-int budget too. auto tries direct (h <= 2), convolve, then mitm;
     another strategy tries itself. The first kernel that fits runs, else
     ResourceBudgetError names each kernel tried with its first charge over
-    budget. convolve runs as the certified FFT once its shifted adds per
+    budget. Powers are weighed by bit length, and only the refusal of a lone
+    kernel builds its charge, which it carries exact. convolve runs as the certified FFT once its shifted adds per
     cell reach _FFT_CROSSOVER, every count fits int32 and _fft_bytes fits
     the byte budget.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    dtype = np.int64 if count**h < 2**63 and h * top < 2**62 else object
-    widest = count ** (h - 1)
+    dtype = object if _power_over(count, h, 2**63 - 1) or h * top >= 2**62 else np.int64
+    int32 = not _power_over(count, h - 1, 2**31 - 1)  # convolve's largest count
     # int64 sums need h * top < 2**62, so no more cells than that
     byte_budget = _BUDGET_CELL_BYTES * min(dense_budget, 2**62)
 
-    # required tuples or pairs, and the Python ints they add where combined
-    def built(what: str, unit: str, required: int, combined: bool) -> list:
-        rows = [(f"{what} exceeds the {unit} budget", required, enumeration_budget)]
+    # rows (message, base, power, budget) that charge base**power; required
+    # tuples or pairs, and the Python ints they add where combined
+    def built(what: str, unit: str, base: int, power: int, combined: bool) -> list:
+        rows = [(f"{what} exceeds the {unit} budget", base, power, enumeration_budget)]
         if combined and dtype is object:
             rows.append((f"{what} over oversized values exceeds the Python-int budget",
-                         required, _PYTHON_FALLBACK_BUDGET))
+                         base, power, _PYTHON_FALLBACK_BUDGET))
         return rows
 
     half = h - h // 2
     table = {
-        "direct": built("direct enumeration", "tuple", count**h, h > 1),
-        "mitm": built("mitm's larger half", "tuple", count**half, half > 1)
-        + built("mitm's cross product", "pair", _mitm_pairs(count, top, h), h > 1),
+        "direct": built("direct enumeration", "tuple", count, h, h > 1),
+        "mitm": built("mitm's larger half", "tuple", count, half, half > 1)
+        + built("mitm's cross product", "pair", _mitm_pairs(count, top, h), 1, h > 1),
         "convolve": [("dense convolution exceeds the byte budget",
-                      (8 if widest < 2**31 else 16) * (h * top + 1), byte_budget),
-                     ("dense convolution counts can exceed int64", widest, 2**63 - 1)],
+                      (8 if int32 else 16) * (h * top + 1), 1, byte_budget),
+                     ("dense convolution counts can exceed int64", count, h - 1, 2**63 - 1)],
     }
     refused = []
     auto = ("direct", "convolve", "mitm") if h <= 2 else ("convolve", "mitm")
     for kernel in auto if strategy == "auto" else (strategy,):
-        over = [ResourceBudgetError(m, required=r, budget=b) for m, r, b in table[kernel] if r > b]
+        over = [row for row in table[kernel] if _power_over(*row[1:])]
         if not over:
             break
         refused.append(over[0])
     else:
-        raise refused[0] if len(refused) == 1 else ResourceBudgetError(
-            "no tally kernel fits: " + "; ".join(map(str, refused)))
+        if len(refused) == 1:  # the one refusal carries its exact charge
+            message, base, power, budget = refused[0]
+            raise ResourceBudgetError(message, required=base**power, budget=budget)
+        raise ResourceBudgetError(
+            "no tally kernel fits: " + "; ".join(_charge_text(*row) for row in refused))
     if kernel != "convolve":
         return kernel, dtype
     fft = ((h - _counted_factors(count, top, h)) * count >= _FFT_CROSSOVER
-           and widest < 2**31 and _fft_bytes(count, top, h) <= byte_budget)
+           and int32 and _fft_bytes(count, top, h) <= byte_budget)
     return ("fft" if fft else "fold"), dtype
 
 

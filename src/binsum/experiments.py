@@ -1,15 +1,16 @@
 """Experiment runners shared by the CLI and the scripts.
 
-Each experiment kind is declared in two tables: ``records.CSV_FIELDS`` names
-its parameters and results, and ``KINDS`` holds, in the same order, its
-parameter defaults, its cross-parameter check, its runner (a results dict
-with every schema field, None where not applicable) and its console
-summary. Runners call only public functions of ``binom``, ``represent``
-and ``energy``, so a kind computes exactly what the library exports, and
-each tallies or scans once: ``energy`` takes its extremes from its
-``energy_report`` tally, and ``coverage-threshold`` both modes from one
-``sumset_coverage_threshold`` scan. Each parameter name has one conversion and one rule in ``_RULES``,
-whichever kind takes it.
+A kind is declared once, in ``records.CSV_FIELDS``: its parameter and
+result names. ``KINDS`` holds, in the same order, its parameter defaults,
+its cross-parameter check, its runner and its console summary. A runner
+calls only public functions of ``binom``, ``represent`` and ``energy`` and
+returns the objects they return, or a small dict where a result's name
+differs; ``run_experiment`` reads each schema result from those sources.
+So a kind computes exactly what the library exports, and each tallies or
+scans once: ``energy`` takes its extremes from its ``energy_report``
+tally, and ``coverage-threshold`` both modes from one
+``sumset_coverage_threshold`` scan. Each parameter name has one conversion
+and one rule in ``_RULES``, whichever kind takes it.
 
 ``normalize_parameters`` rejects names outside the schema, converts each
 parameter or fills its default where it is absent or None (not where it is
@@ -26,6 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
 from . import energy as energy_mod
@@ -86,16 +88,16 @@ _RULES: dict[str, tuple[Callable[[Any], Any], Callable[[Any], bool] | None, str]
 }
 
 
-def _run_min_rep(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
+def _run_min_rep(params: dict[str, Any], knobs: ExecutionKnobs) -> tuple:
     rep = represent.minimal_representation(
         params["n"], params["k"], params["h_max"], params["mode"]
     )
-    return {
+    return ({
         "terms": None if rep is None else len(rep),
         "exceeds_h_max": rep is None,
-        "witness_indices": None if rep is None else list(rep.indices),
-        "witness_values": None if rep is None else list(rep.values),
-    }
+        "witness_indices": None if rep is None else rep.indices,
+        "witness_values": None if rep is None else rep.values,
+    },)
 
 
 def _summarize_min_rep(p: dict, r: dict) -> str:
@@ -111,22 +113,10 @@ def _check_survey(p: dict[str, Any]) -> None:
     _require(p["n_min"] <= p["n_max"], "need 1 <= n_min <= n_max")
 
 
-def _run_survey(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
-    survey = represent.survey_min_rep(
-        params["k"],
-        params["n_min"],
-        params["n_max"],
-        params["mode"],
-        cap=params["cap"],
-        max_witnesses=params["max_witnesses"],
-        memory_budget=knobs.memory_budget,
-    )
-    return {
-        "max_terms": survey.max_terms,
-        "witnesses": [list(w) for w in survey.witnesses],
-        "exceptions": list(survey.exceptions),
-        "exception_count": survey.exception_count,
-    }
+def _run_survey(params: dict[str, Any], knobs: ExecutionKnobs) -> tuple:
+    return (represent.survey_min_rep(
+        params["k"], params["n_min"], params["n_max"], params["mode"], cap=params["cap"],
+        max_witnesses=params["max_witnesses"], memory_budget=knobs.memory_budget),)
 
 
 def _summarize_survey(p: dict, r: dict) -> str:
@@ -146,7 +136,7 @@ def _check_energy(p: dict[str, Any]) -> None:
         p["convention"] = "value"
 
 
-def _run_energy(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
+def _run_energy(params: dict[str, Any], knobs: ExecutionKnobs) -> tuple:
     if params["index_bound"] is not None:
         bound = params["index_bound"]
     else:
@@ -161,16 +151,8 @@ def _run_energy(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
         sequence=params["sequence"],
         threads=knobs.threads,
     )
-    return {
-        "index_bound": report.index_bound,
-        "admissible_count": report.admissible_count,
-        "total_tuples": report.total_tuples,
-        "energy": report.energy,
-        "distinct_sums": report.distinct_sums,
-        "max_multiplicity": report.max_multiplicity,
-        "cs_lower_bound": report.cs_lower_bound,
-        "extremes": [list(pair) for pair in report.extremes] if params["top"] > 0 else None,
-    }
+    # the report lists no extremes at top 0, and the record says None
+    return (report,) if params["top"] else ({"extremes": None}, report)
 
 
 def _summarize_energy(p: dict, r: dict) -> str:
@@ -182,28 +164,14 @@ def _summarize_energy(p: dict, r: dict) -> str:
     )
 
 
-def _run_restricted(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
+def _run_restricted(params: dict[str, Any], knobs: ExecutionKnobs) -> tuple:
     spec = energy_mod.RestrictedTupleSpec(
         order=params["k"], arity=params["h"], budget=params["x"], fraction=params["c"]
     )
     restricted = energy_mod.restricted_distinct_sums(
         spec, sequence=params["sequence"], threads=knobs.threads
     )
-    report = restricted.report
-    return {
-        "per_term_cap": restricted.per_term_cap,
-        "max_index": restricted.max_index,
-        "admissible_count": restricted.admissible_count,
-        "total_tuples": report.total_tuples,
-        "energy": report.energy,
-        "distinct_sums": report.distinct_sums,
-        "max_multiplicity": report.max_multiplicity,
-        "cs_lower_bound": report.cs_lower_bound,
-        "trivial_bound": restricted.trivial_bound,
-        "trivial_bound_ok": restricted.trivial_bound_ok,
-        "floor_lower_bound": restricted.floor_lower_bound,
-        "floor_ok": restricted.floor_ok,
-    }
+    return restricted, restricted.report
 
 
 def _summarize_restricted(p: dict, r: dict) -> str:
@@ -218,11 +186,11 @@ def _check_coverage(p: dict[str, Any]) -> None:
     _require(p["k"] == 2, "coverage threshold is defined for k=2 only")
 
 
-def _run_coverage(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
+def _run_coverage(params: dict[str, Any], knobs: ExecutionKnobs) -> tuple:
     repeats, distinct = represent.sumset_coverage_threshold(
         params["r_max"], memory_budget=knobs.memory_budget
     )
-    return {"repeats_threshold": repeats, "distinct_threshold": distinct}
+    return ({"repeats_threshold": repeats, "distinct_threshold": distinct},)
 
 
 def _summarize_coverage(p: dict, r: dict) -> str:
@@ -237,22 +205,9 @@ def _check_fit(p: dict[str, Any]) -> None:
     _require(all(b2 > b1 for b1, b2 in zip(b, b[1:])), "bounds must be strictly increasing")
 
 
-def _run_fit(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
-    fit = energy_mod.fit_energy_exponent(
-        params["k"],
-        params["h"],
-        params["bounds"],
-        sequence=params["sequence"],
-        threads=knobs.threads,
-    )
-    return {
-        "observations": [list(obs) for obs in fit.observations],
-        "alpha_hat": fit.alpha_hat,
-        "intercept": fit.intercept,
-        "residual": fit.residual,
-        "comparison_exponent": fit.comparison_exponent,
-        "hypothesis_plausible": fit.hypothesis_plausible,
-    }
+def _run_fit(params: dict[str, Any], knobs: ExecutionKnobs) -> tuple:
+    return (energy_mod.fit_energy_exponent(params["k"], params["h"], params["bounds"],
+                                           sequence=params["sequence"], threads=knobs.threads),)
 
 
 def _summarize_fit(p: dict, r: dict) -> str:
@@ -264,13 +219,13 @@ def _summarize_fit(p: dict, r: dict) -> str:
     )
 
 
-def _run_ratio(params: dict[str, Any], knobs: ExecutionKnobs) -> dict:
+def _run_ratio(params: dict[str, Any], knobs: ExecutionKnobs) -> tuple:
     k, x = params["k"], params["x"]
-    return {
+    return ({
         "floor_index": floor_index(k, x),
         "count": count_upto(k, x),
         "ratio": asymptotic_ratio(k, x),
-    }
+    },)
 
 
 def _summarize_ratio(p: dict, r: dict) -> str:
@@ -280,11 +235,11 @@ def _summarize_ratio(p: dict, r: dict) -> str:
 class Kind(NamedTuple):
     """One experiment kind; its schema is in CSV_FIELDS. A parameter without
     a default is required; check sees the converted parameters and may fill
-    a None default from the others. budgeted kinds run under the memory
-    budget knob."""
+    a None default from the others. run returns the sources of the results
+    (see _results). budgeted kinds run under the memory budget knob."""
 
     defaults: dict[str, Any]
-    run: Callable[[dict[str, Any], ExecutionKnobs], dict[str, Any]]
+    run: Callable[[dict[str, Any], ExecutionKnobs], tuple]
     summarize: Callable[[dict[str, Any], dict[str, Any]], str]
     check: Callable[[dict[str, Any]], None] | None = None
     budgeted: bool = False
@@ -336,6 +291,19 @@ def normalize_parameters(kind: str, params: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
+def _plain(value: Any) -> Any:
+    """value with every tuple a list, as exports decode it."""
+    return [_plain(v) for v in value] if isinstance(value, (tuple, list)) else value
+
+
+def _results(kind: str, sources: tuple) -> dict[str, Any]:
+    """The kind's results in schema order, each read from the first source
+    that has it: a library object's attribute or a small dict's key."""
+    spaces = [SimpleNamespace(**s) if isinstance(s, dict) else s for s in sources]
+    return {name: _plain(getattr(next(s for s in spaces if hasattr(s, name)), name))
+            for name in CSV_FIELDS[kind][1]}
+
+
 def run_experiment(
     kind: str,
     params: dict[str, Any],
@@ -363,7 +331,7 @@ def run_experiment(
         memory_budget = represent.DEFAULT_MEMORY_BUDGET
     knobs = ExecutionKnobs(threads, memory_budget)
     started = time.perf_counter()
-    results = KINDS[kind].run(normalized, knobs)
+    results = _results(kind, KINDS[kind].run(normalized, knobs))
     record = SurveyRecord(
         kind=kind,
         parameters=normalized,

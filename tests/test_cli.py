@@ -1,8 +1,10 @@
 """Command line behaviour: output, exit codes, exports, cache wiring."""
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -97,6 +99,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "≈ 2^" in err
         assert len(err.encode()) < 1024
+
+    def test_huge_arity_is_refused_from_bit_lengths(self, capsys):
+        # 1000 values at h = 100000: mitm's larger half is 1000**50000
+        # tuples, which admission sizes without building (best of 3 runs)
+        argv = ["energy", "--k", "1", "--h", "100000", "--index-bound", "1000"]
+        elapsed = []
+        for _ in range(3):
+            started = time.perf_counter()
+            assert main(argv) == 3
+            elapsed.append(time.perf_counter() - started)
+        assert min(elapsed) < 0.01, elapsed
+        assert capsys.readouterr().err == 3 * (
+            "error: no tally kernel fits: dense convolution exceeds the byte budget "
+            "(required 1600000016, budget 1200000000); mitm's larger half exceeds the "
+            "tuple budget (required ≈ 2^498289.2, budget 20000000)\n")
 
     def test_auto_refusal_names_every_kernel_tried(self, capsys):
         # the dense path was passed over because its counts could wrap int64
@@ -369,6 +386,28 @@ class TestParser:
                           BINSUM_CACHE_DIR="")
         assert proc.returncode == 0
         assert os.listdir(tmp_path) == []
+
+    def test_every_command_keeps_its_flags(self, capsys):
+        # the flag sets of the parser that declared each command's options by hand
+        min_rep = {"--k", "--n", "--h-max", "--mode"}
+        parameters = {"--k", "--h", "--n", "--h-max", "--n-min", "--max", "--cap",
+                      "--max-witnesses", "--index-bound", "--x", "--convention", "--c",
+                      "--sequence", "--top", "--r-max", "--mode"}
+        flags = {
+            "min-rep": min_rep,
+            "energy": {"--k", "--h", "--index-bound", "--x", "--convention", "--c",
+                       "--sequence", "--top"},
+            "coverage": {"--k", "--r-max", "--memory-budget"},
+            "fit": {"--k", "--h", "--x", "--sequence"},
+            "table": {"--k", "--x"},
+            "decompose": min_rep | {"--algorithm"},
+            "survey": parameters | {"--kind", "--memory-budget"},
+        }
+        for command, own in flags.items():
+            assert main([command, "--help"]) == 0
+            shown = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+            assert shown == own | {"--out", "--format", "--cache-dir", "--threads", "--help"}, (
+                command)
 
     def test_import_loads_no_click(self):
         proc = subprocess.run(

@@ -2,10 +2,13 @@
 
 Each case runs ``binsum.cli.main`` in-process twice against one cache
 directory, first fresh and then from the cache, once with a JSON export and
-once with a CSV export. The SHA-256 digests of the export bytes and of the
-console output were recorded before the kinds were declared in one table
-(``records.CSV_FIELDS`` plus ``experiments.KINDS``), so any refactor of the
-CLI, the normalizers or the records has to keep them.
+once with a CSV export. A kind is declared once, in ``records.CSV_FIELDS``:
+its parameter names are the options of its subcommands and of ``survey
+--kind``, and its result names are read from the objects its runner in
+``experiments.KINDS`` returns. The SHA-256 digests of the export bytes and
+of the console output were recorded before that, when every runner and
+subcommand spelled the names out by hand, so any refactor of the CLI, the
+runners, the normalizers or the records has to keep them.
 """
 import hashlib
 import io

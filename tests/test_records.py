@@ -35,6 +35,21 @@ def sample_records():
     return [run_experiment(kind, params)[0] for kind, params in requests]
 
 
+def test_results_are_the_schema_as_plain_lists():
+    # exports sort or reorder keys, so only the in-memory record shows this
+    def plain(value):
+        assert not isinstance(value, tuple), value
+        if isinstance(value, list):
+            for item in value:
+                plain(item)
+
+    records = sample_records()
+    assert [record.kind for record in records] == list(CSV_FIELDS)
+    for record in records:
+        assert tuple(record.results) == CSV_FIELDS[record.kind][1], record.kind
+        plain(list(record.results.values()))
+
+
 class TestValueCodec:
     def test_ints_become_decimal_strings(self):
         assert encode_value(2**130) == str(2**130)
