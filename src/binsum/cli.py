@@ -145,7 +145,8 @@ def _run_and_report(kind: str, options: dict, command: str) -> SurveyRecord:
         if len(params["x"]) > 1:
             raise _UsageError(f"{command} takes a single --x")
         params["x"] = params["x"][0]
-    foreign = [_OPTIONS[name][0] for name in options if name not in _options_of([kind])]
+    taken = _options_of([kind])
+    foreign = [_OPTIONS[name][0] for name in options if name not in taken]
     if foreign:
         raise _UsageError(f"{command} takes no {', '.join(foreign)}")
     threads = options["threads"] if "threads" in options else os.cpu_count() or 1

@@ -412,9 +412,9 @@ def _admit(
     another strategy tries itself. The first kernel that fits runs, else
     ResourceBudgetError names each kernel tried with its first charge over
     budget. Powers are weighed by bit length, and only the refusal of a lone
-    kernel builds its charge, which it carries exact. convolve runs as the certified FFT once its shifted adds per
-    cell reach _FFT_CROSSOVER, every count fits int32 and _fft_bytes fits
-    the byte budget.
+    kernel builds its charge, which it carries exact. convolve runs as the
+    certified FFT once its shifted adds per cell reach _FFT_CROSSOVER, every
+    count fits int32 and _fft_bytes fits the byte budget.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")

@@ -27,7 +27,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
 from . import energy as energy_mod
@@ -298,10 +297,13 @@ def _plain(value: Any) -> Any:
 
 def _results(kind: str, sources: tuple) -> dict[str, Any]:
     """The kind's results in schema order, each read from the first source
-    that has it: a library object's attribute or a small dict's key."""
-    spaces = [SimpleNamespace(**s) if isinstance(s, dict) else s for s in sources]
-    return {name: _plain(getattr(next(s for s in spaces if hasattr(s, name)), name))
-            for name in CSV_FIELDS[kind][1]}
+    that has it: a small dict's key or a library object's attribute."""
+    names = CSV_FIELDS[kind][1]
+    values: dict[str, Any] = {}
+    for source in reversed(sources):
+        values.update(source if isinstance(source, dict) else
+                      {name: getattr(source, name) for name in names if hasattr(source, name)})
+    return {name: _plain(values[name]) for name in names}
 
 
 def run_experiment(
