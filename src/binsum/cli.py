@@ -55,8 +55,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# Every option once: parameter name -> (flag, argparse attributes). The normalizers
-# in experiments.py fill every default but --format's and --algorithm's.
+# Every option once, in help order: parameter name -> (flag, argparse attributes).
+# The normalizers in experiments.py fill every default but --format's and --algorithm's.
 _OPTIONS: dict[str, tuple[str, dict]] = {
     "kind": ("--kind", dict(choices=EXPERIMENT_KINDS, required=True)),
     "k": ("--k", dict(type=int, help="Order of the sequence.")),
@@ -93,23 +93,20 @@ _OPTIONS: dict[str, tuple[str, dict]] = {
 }
 # options every command takes: where to write and how to run
 _KNOBS = ("out", "fmt", "cache_dir", "threads")
-
-
-def _option(name: str) -> str:
-    """The option that carries a parameter: an exponent fit's bounds are its --x."""
-    return "x" if name == "bounds" else name
+# the option that carries a parameter of another name: an exponent fit's bounds are its --x
+_CARRIERS = {"bounds": "x"}
 
 
 def _options_of(kinds: Sequence[str]) -> set[str]:
     """The options that carry the kinds' parameters, and the knobs they read."""
-    return {*_KNOBS, *(_option(name) for kind in kinds for name in CSV_FIELDS[kind][0]),
+    return {*_KNOBS, *(_CARRIERS.get(n, n) for kind in kinds for n in CSV_FIELDS[kind][0]),
             *["memory_budget"] * any(KINDS[kind].budgeted for kind in kinds)}
 
 
 def _usage_error(exc: Exception, command: str | None = None) -> _UsageError:
     """exc as a usage error; a missing parameter is named with its option."""
     if isinstance(exc, MissingParameterError):
-        flag = _OPTIONS[_option(exc.name)][0]
+        flag = _OPTIONS[_CARRIERS.get(exc.name, exc.name)][0]
         return _UsageError(f"{command or exc.kind} requires parameter {exc.name!r} ({flag})")
     return _UsageError(str(exc))
 
@@ -139,8 +136,8 @@ def _run_and_report(kind: str, options: dict, command: str) -> SurveyRecord:
     them, print its summary line and export it to --out if given. A kind
     with one x takes one --x, and the options the kind does not take are
     refused, in messages that name command."""
-    params = {name: options[_option(name)] for name in CSV_FIELDS[kind][0]
-              if _option(name) in options}
+    params = {name: options[option] for name in CSV_FIELDS[kind][0]
+              if (option := _CARRIERS.get(name, name)) in options}
     if "x" in params:
         if len(params["x"]) > 1:
             raise _UsageError(f"{command} takes a single --x")
@@ -263,8 +260,7 @@ _COMMANDS: dict[str, tuple[Callable[..., None] | str, Sequence[str], tuple[str, 
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """One parser for every command, each listing its options in _OPTIONS order;
-    a handler receives only the options given."""
+    """One parser for every command; a handler receives only the options given."""
     parser = _Parser(prog="binsum", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
