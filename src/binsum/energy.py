@@ -75,6 +75,11 @@ _PYTHON_FALLBACK_BUDGET = 1_000_000
 # 400, a two-thread fold from about 500 to 600. At order 3, with millions
 # of cells, a one-thread fold still wins at 400 and a two-thread one at 500.
 _FFT_CROSSOVER = 500
+# The fold is refused past this many cell adds (count adds per cell of
+# every folded step). On a 2-core host, k=2 h=4 M=2000 (2.8 * 10**10 int64
+# adds) took 8.2 s on two threads and 12.1 s on one, about 2.3 * 10**9
+# adds a second, so the largest fold admitted takes under a minute there.
+_FOLD_WORK_BUDGET = 10**11
 # Each cell of the dense budget grants this many bytes. The fold holds two
 # count arrays however many threads share it: 8 B per cell at int32, 16 B
 # at int64, so an int64 fold gets half the cells. The FFT kernel may use as
@@ -407,11 +412,12 @@ def _admit(
     One table charges what each kernel builds against the budget that caps
     it: direct's tuples; mitm's larger half and its cross pairs; convolve's
     two count arrays (8 B per cell at int32, 16 B at int64) and its largest
-    count, count**(h-1). Tuples and pairs of object values are charged the
-    Python-int budget too. auto tries direct (h <= 2), convolve, then mitm;
-    another strategy tries itself. The first kernel that fits runs, else
-    ResourceBudgetError names each kernel tried with its first charge over
-    budget. Powers are weighed by bit length, and only the refusal of a lone
+    count, count**(h-1), and where it runs as the fold, not the FFT, the
+    fold's cell adds against _FOLD_WORK_BUDGET. Tuples and pairs of object
+    values are charged the Python-int budget too. auto tries direct (h <=
+    2), convolve, then mitm; another strategy tries itself. The first
+    kernel that fits runs, else ResourceBudgetError names each kernel tried
+    with its first charge over budget. Powers are weighed by bit length, and only the refusal of a lone
     kernel builds its charge, which it carries exact. convolve runs as the
     certified FFT once its shifted adds per cell reach _FFT_CROSSOVER, every
     count fits int32 and _fft_bytes fits the byte budget.
@@ -441,6 +447,18 @@ def _admit(
                       (8 if int32 else 16) * (h * top + 1), 1, byte_budget),
                      ("dense convolution counts can exceed int64", count, h - 1, 2**63 - 1)],
     }
+    # convolve runs as the certified FFT or else as the fold, whose cell adds
+    # are charged: count per cell of every folded step s = j + 1 .. h. Both
+    # are weighed only once its sizes pass, as j can take h steps to find
+    fft = False
+    if not any(_power_over(*row[1:]) for row in table["convolve"]):
+        j = _counted_factors(count, top, h)
+        fft = ((h - j) * count >= _FFT_CROSSOVER
+               and int32 and _fft_bytes(count, top, h) <= byte_budget)
+        if not fft:
+            adds = count * (top * (h * (h + 1) - j * (j + 1)) // 2 + h - j)
+            table["convolve"].append(
+                ("dense convolution's fold exceeds the work budget", adds, 1, _FOLD_WORK_BUDGET))
     refused = []
     auto = ("direct", "convolve", "mitm") if h <= 2 else ("convolve", "mitm")
     for kernel in auto if strategy == "auto" else (strategy,):
@@ -456,8 +474,6 @@ def _admit(
             "no tally kernel fits: " + "; ".join(_charge_text(*row) for row in refused))
     if kernel != "convolve":
         return kernel, dtype
-    fft = ((h - _counted_factors(count, top, h)) * count >= _FFT_CROSSOVER
-           and int32 and _fft_bytes(count, top, h) <= byte_budget)
     return ("fft" if fft else "fold"), dtype
 
 

@@ -13,9 +13,9 @@ their last two terms: it walks the candidate leading terms in fixed-size
 blocks and tests every completion in a block with one set of int64 numpy
 operations, falling back to Python ints only where a product could wrap.
 
-The range oracles (min_rep_table, the surveys and the coverage scan) hold
-every set of reachable targets as packed little-endian uint64 words, bit j
-for target j; only the per-target counts are uint8. Shifting a set by a
+The range oracles (min_rep_table and the surveys) hold every set of
+reachable targets as packed little-endian uint64 words, bit j for target
+j; only the per-target counts are uint8. Shifting a set by a
 coin v becomes a byte offset of v // 8 applied to one of eight copies of
 the set pre-shifted by 0..7 bits, so one OR covers eight targets per byte.
 One kernel, _next_layer, does every such OR, and one walk, _layer_walk,
@@ -25,9 +25,12 @@ since a pair's larger coin is one of its terms. Repeats layers grow layer 2
 through these windows and later layers over the whole range, stopping,
 exactly, once every target is reached. The repeats table reads a count off
 each layer; a repeats survey reads only the layers' new bits in range, and
-a distinct survey reads the table. The coverage scan is one distinct
-layer-2 call whose highest zero bit is the distinct answer; adding the
-doubles 2v gives the repeats layer and answer.
+a distinct survey reads the table.
+
+The coverage scan needs only the highest target that no sum of at most two
+triangular numbers reaches, so it holds no layer: it walks down from the
+range end one fixed-size window at a time, marking the pair sums that land
+in the window from sorted int64 coins (_highest_uncovered).
 
 Distinct windows ([v, 2v - 1]) add only sums of distinct coins to a layer
 of such sums, and grow layer 1 into all sums of two, so a distinct table
@@ -694,18 +697,13 @@ def _check_budget(required: int, budget: int, what: str = "min_rep_table working
         )
 
 
-def _layer_bytes(words: int) -> int:
-    """Peak bytes of _next_layer on a layer of the given number of words:
-    the layer after a zero word, its eight bit phases and one carry row."""
-    return 8 * (10 * words + 1)
-
-
 def _layers_bytes(cells: int) -> int:
     """Peak bytes of _layered_counts over cells targets, counts aside: the
-    larger of growing the layer and marking it (the layer, its complement
-    and the unpacked cells)."""
+    larger of growing the layer (_next_layer: the layer after a zero word,
+    its eight bit phases and one carry row) and marking it (the layer, its
+    complement and the unpacked cells)."""
     words = -(-cells // 64)
-    return max(_layer_bytes(words), cells + 8 * (2 * words + 1))
+    return max(8 * (10 * words + 1), cells + 8 * (2 * words + 1))
 
 
 def _grid_bytes(cells: int, rows: int) -> int:
@@ -903,6 +901,10 @@ class CoverageThresholds(NamedTuple):
     distinct: int
 
 
+# The coverage scan marks this many targets per window.
+_COVER_WINDOW = 4096
+
+
 def sumset_coverage_threshold(
     r_max: int, *, memory_budget: int = DEFAULT_MEMORY_BUDGET
 ) -> CoverageThresholds:
@@ -914,32 +916,69 @@ def sumset_coverage_threshold(
     is fully covered. Distinct mode requires the two indices to differ; a
     lone triangular number or 0 still counts as covered in both modes.
 
-    Both answers come from one scan. The covered set is layer 2 of the
-    order-2 distinct layer walk: 0 and the triangular numbers up to r_max,
-    grown once through the pair windows [v, 2v - 1] of triangular v.
-    Repeats pairs add only the doubles 2v, so their layer is the same set
-    with those bits on. Each answer is read from its layer's highest zero
-    bit.
+    Both answers come from one top-down scan over windows of _COVER_WINDOW
+    targets (_highest_uncovered), which holds no set over the whole range.
+    Sums of two triangular numbers have density zero, so the deciding m
+    lies near r_max, nearly always in the first window. The budget is
+    charged with the int64 coins up to r_max and one window's marks and
+    pair arrays; r_max must be below 2**62, where the coins fit int64.
     """
     if r_max < 1:
         raise ValueError(f"r_max must be >= 1, got {r_max}")
-    required = _layer_bytes(-(-(r_max + 1) // 64)) + _COIN_BYTES * count_upto(2, r_max)
-    required += _CALL_BYTES
+    # 8 B per coin, then per window 1 B per target, 32 B per larger coin v
+    # (at most one per coin) and 24 B per pair sum. A pair u < v is an odd
+    # point x < y (x = 2u + 1, y = 2v + 1) of an annulus in x**2 + y**2 whose
+    # eighth has area pi (w - 1): under nv + 2w pairs for nv coins v.
+    required = 64 * count_upto(2, r_max) + 49 * min(_COVER_WINDOW, r_max + 1) + _CALL_BYTES
     _check_budget(required, memory_budget, "coverage scan")
-    values = BinomialSequence(2).values_upto(r_max)
-    *_, reach = _layer_walk(r_max + 1, values, 2, SearchMode.DISTINCT)
-    distinct = _blocked_threshold(reach, r_max)
-    _set_bits(reach, [2 * v for v in values[: bisect.bisect_right(values, r_max // 2)]])
-    return CoverageThresholds(_blocked_threshold(reach, r_max), distinct)
+    if r_max >= _INT64_LIMIT:
+        raise ValueError(f"r_max must be below 2**62, got {r_max}")
+    repeats, distinct = _highest_uncovered(r_max)
+    return CoverageThresholds(min(2 * repeats, r_max), min(2 * distinct, r_max))
 
 
-def _blocked_threshold(reach: np.ndarray, r_max: int) -> int:
-    """min(2 m, r_max) for the highest zero bit m of a packed set with its
-    padding on, or 0 when every bit is on: an uncovered m blocks every R in
-    [m, 2m]."""
-    open_words = reach != _ALL
-    if not open_words.any():
-        return 0
-    w = reach.size - 1 - int(open_words[::-1].argmax())
-    m = 64 * w + (_ALL ^ int(reach[w])).bit_length() - 1
-    return min(2 * m, r_max)
+def _highest_uncovered(r_max: int) -> tuple[int, int]:
+    """The largest targets m <= r_max that are no sum of at most two
+    triangular numbers, in repeats and in distinct mode; 0 where there is
+    none, as 0 itself is covered.
+
+    The windows [lo, hi] run down from hi = r_max. Each marks 0 (if lo is
+    0), the coins in the window and every sum u + v in it of coins u < v: v
+    lies in [ceil(lo / 2), hi], and its partners are the coins in [lo - v,
+    min(v - 1, hi - v)]. The highest unmarked target is the distinct answer;
+    marking the doubles 2v too gives the repeats answer. Repeats covers
+    more, so its answer is never above the distinct one, and the scan stops
+    at the first window that holds it.
+    """
+    coins = _binom_array(np.arange(2, floor_index(2, r_max) + 1, dtype=np.int64), 2)
+
+    def top_unmarked(marks: np.ndarray) -> int:
+        i = marks.size - 1 - int(marks[::-1].argmin())
+        return 0 if marks[i] else lo + i
+
+    repeats = distinct = 0
+    hi = r_max
+    while hi >= 0 and not repeats:
+        lo = max(0, hi - _COVER_WINDOW + 1)
+        marks = np.zeros(hi - lo + 1, dtype=bool)
+        marks[0] = lo == 0
+        a, c, d, b = np.searchsorted(coins, [(lo + 1) // 2, lo, hi // 2 + 1, hi + 1])
+        marks[coins[c:b] - lo] = True
+        # the partners of v are coins[first : first + n], all listed by one repeat
+        v = coins[a:b]
+        first = np.searchsorted(coins, lo - v)
+        n = np.minimum(np.searchsorted(coins, hi - v, side="right"), np.arange(a, b))
+        n -= first
+        np.maximum(n, 0, out=n)
+        first -= np.cumsum(n)
+        first += n
+        sums = coins[np.repeat(first, n) + np.arange(int(n.sum()))]
+        sums += np.repeat(v, n)
+        sums -= lo
+        marks[sums] = True
+        del first, n, sums
+        distinct = distinct or top_unmarked(marks)
+        marks[2 * coins[a:d] - lo] = True
+        repeats = top_unmarked(marks)
+        hi = lo - 1
+    return repeats, distinct

@@ -115,6 +115,20 @@ class TestExitCodes:
             "(required 1600000016, budget 1200000000); mitm's larger half exceeds the "
             "tuple budget (required ≈ 2^498289.2, budget 20000000)\n")
 
+    def test_fold_past_the_work_budget_is_refused_at_admission(self, capsys):
+        # 5999 values at h = 4: an int64 fold of 7.6 * 10**11 cell adds
+        # (best of 3 runs)
+        argv = ["energy", "--k", "2", "--h", "4", "--index-bound", "6000"]
+        elapsed = []
+        for _ in range(3):
+            started = time.perf_counter()
+            assert main(argv) == 3
+            elapsed.append(time.perf_counter() - started)
+        assert min(elapsed) < 0.01, elapsed
+        err = capsys.readouterr().err
+        assert "dense convolution's fold exceeds the work budget" in err
+        assert "Traceback" not in err
+
     def test_auto_refusal_names_every_kernel_tried(self, capsys):
         # the dense path was passed over because its counts could wrap int64
         assert main(["energy", "--k", "2", "--h", "20", "--index-bound", "50"]) == 3

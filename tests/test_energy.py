@@ -468,6 +468,28 @@ class TestAdmission:
             admitted(2, 4, 8660)
         assert "mitm" in str(info.value)
 
+    def test_fold_charged_in_cell_adds(self):
+        # 5999 values at h = 4 count j = 2 factors and fold two steps of
+        # 3 and 4 * C(6000, 2) + 1 cells: 7.6 * 10**11 adds, minutes of work
+        top = binom(6000, 2)
+        adds = 5999 * (3 * top + 1 + 4 * top + 1)
+        assert energy._counted_factors(5999, top, 4) == 2
+        with pytest.raises(ResourceBudgetError) as info:
+            admitted(2, 4, 6000, strategy="convolve")
+        assert "fold exceeds the work budget" in str(info.value)
+        assert (info.value.required, info.value.budget) == (adds, energy._FOLD_WORK_BUDGET)
+        # auto falls back to mitm, whose larger half is 5999**2 tuples
+        with pytest.raises(ResourceBudgetError) as info:
+            admitted(2, 4, 6000)
+        assert "mitm's larger half" in str(info.value)
+        # the baseline fold, 2.8 * 10**10 adds, stays admitted. The FFT is
+        # not charged for adds: 5999 values at h = 3 (a fold of 3.2 * 10**11
+        # adds) run as the FFT where its bytes fit, and are refused elsewhere
+        assert admitted(2, 4, 2000) == "fold"
+        assert admitted(2, 3, 6000, dense_budget=10**9) == "fft"
+        with pytest.raises(ResourceBudgetError, match="work budget"):
+            admitted(2, 3, 6000)
+
     def test_refusal_names_the_chosen_kernel(self):
         with pytest.raises(ResourceBudgetError) as info:
             energy_report(2, 2, 10**30)

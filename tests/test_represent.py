@@ -1,5 +1,6 @@
 """Decomposition routes, minimal-summand tables, surveys, coverage."""
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -133,6 +134,41 @@ def legendre_pair_counts(r_max: int) -> np.ndarray:
     for d in range(1, m_max + 1, 2):
         chi[d::d] += 1 if d % 4 == 1 else -1
     return chi[1::4]
+
+
+def layer_uncovered(r_max: int) -> dict:
+    """The full-layer reference for the coverage scan: the targets up to
+    r_max that the order-2 distinct layer 2 of the layer walk misses, and
+    those it misses once the doubles 2v are added (repeats), as bool arrays."""
+    values = BinomialSequence(2).values_upto(r_max)
+    *_, reach = represent._layer_walk(r_max + 1, values, 2, SearchMode.DISTINCT)
+    distinct = ~represent._unpack(reach, r_max + 1)
+    doubles = 2 * np.asarray(values)
+    repeats = distinct.copy()
+    repeats[doubles[doubles <= r_max]] = False
+    return {"repeats": repeats, "distinct": distinct}
+
+
+def primes_upto(n: int) -> np.ndarray:
+    """The primes up to n, by the sieve of Eratosthenes."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, int(n**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve)
+
+
+def odd_power_of_a_prime_3_mod_4(n: int, primes: np.ndarray) -> bool:
+    """Whether some prime q = 3 (mod 4) divides n to an odd power, by trial
+    division over primes, which must hold every prime up to sqrt(n)."""
+    for p in primes[n % primes == 0].tolist():
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if p % 4 == 3 and e % 2:
+            return True
+    return n % 4 == 3  # the cofactor is 1 or a prime
 
 
 def traced_peak(fn) -> int:
@@ -982,6 +1018,56 @@ class TestCoverage:
     def test_memory_budget_enforced(self):
         with pytest.raises(ResourceBudgetError):
             sumset_coverage_threshold(10**6, memory_budget=100)
+
+    @pytest.mark.parametrize("window", [1, 7, 64, represent._COVER_WINDOW])
+    def test_window_scan_equals_the_full_layer(self, monkeypatch, window):
+        # every r_max up to 5000 and seeded ones up to 3 * 10**6 (10**5 for
+        # windows under 64), against the highest zero bit of the layer
+        monkeypatch.setattr(represent, "_COVER_WINDOW", window)
+        r_top = 3 * 10**6 if window >= 64 else 10**5
+        rng = random.Random(3000 + window)
+        r_values = [*range(1, 5001), *(rng.randint(5001, r_top) for _ in range(40)), r_top]
+        last = {mode: np.maximum.accumulate(np.where(missing, np.arange(missing.size), 0))
+                for mode, missing in layer_uncovered(r_top).items()}
+        below = 0  # answers read from a window under the first
+        for r_max in r_values:
+            got = sumset_coverage_threshold(r_max)._asdict()
+            for mode, tops in last.items():
+                m = int(tops[r_max])
+                assert got[mode] == min(2 * m, r_max), (r_max, mode, window)
+                below += r_max - m >= window
+        # uncovered targets lie at most 6 apart up to 3 * 10**6, so only
+        # the one-target window reads answers under its first window
+        assert below > 1000 if window == 1 else below == 0
+
+    def test_repeats_answer_meets_legendre_far_up(self):
+        # m is a sum of at most two triangular numbers exactly when no prime
+        # q = 3 (mod 4) divides 4m + 1 to an odd power; the scan's m must
+        # fail that and every target in (m, r_max] pass it
+        rng = random.Random(3012)
+        r_values = [int(10 ** rng.uniform(8, 12)) for _ in range(12)] + [10**12]
+        primes = primes_upto(math.isqrt(4 * max(r_values) + 1))
+        for r_max in r_values:
+            m, _ = represent._highest_uncovered(r_max)
+            assert 0 < m <= r_max
+            assert odd_power_of_a_prime_3_mod_4(4 * m + 1, primes), r_max
+            for covered in range(m + 1, r_max + 1):
+                assert not odd_power_of_a_prime_3_mod_4(4 * covered + 1, primes), covered
+            assert sumset_coverage_threshold(r_max).repeats == min(2 * m, r_max)
+
+    def test_reaches_ten_to_the_twelve(self):
+        assert sumset_coverage_threshold(10**12) == (10**12, 10**12)
+        # the coins alone, 8 B each, are over the default budget at 10**20
+        with pytest.raises(ResourceBudgetError) as info:
+            sumset_coverage_threshold(10**20)
+        assert info.value.required > 8 * math.isqrt(2 * 10**20) > represent.DEFAULT_MEMORY_BUDGET
+
+    def test_traced_peak_within_estimate_far_up(self):
+        # per-coin arrays dominate here, not the window
+        r_max = 10**12
+        with pytest.raises(ResourceBudgetError) as info:
+            sumset_coverage_threshold(r_max, memory_budget=0)
+        assert traced_peak(lambda: sumset_coverage_threshold(r_max)) <= info.value.required
 
     @pytest.mark.parametrize("mode", ["repeats", "distinct"])
     def test_traced_peak_within_estimate(self, mode):
