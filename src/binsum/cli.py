@@ -56,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Every option once, in help order: parameter name -> (flag, argparse attributes).
-# The normalizers in experiments.py fill every default but --format's and --algorithm's.
+# The normalizers in experiments.py fill every default but --format's.
 _OPTIONS: dict[str, tuple[str, dict]] = {
     "kind": ("--kind", dict(choices=EXPERIMENT_KINDS, required=True)),
     "k": ("--k", dict(type=int, help="Order of the sequence.")),
@@ -80,8 +80,6 @@ _OPTIONS: dict[str, tuple[str, dict]] = {
         type=int, help="Abort (exit 3) if the working set would exceed this many bytes.")),
     "mode": ("--mode", dict(choices=[m.value for m in SearchMode],
                             help="Whether summands may repeat.")),
-    "algorithm": ("--algorithm", dict(choices=["greedy", "exact"], default="greedy", help=(
-        "greedy (default): constructive route; exact: fewest terms up to --h-max."))),
     "out": ("--out", dict(type=Path, help="Write the record(s) to this file.")),
     "fmt": ("--format", dict(choices=["json", "csv"], default="json",
                              help="Export format for --out (default: json).")),
@@ -163,24 +161,19 @@ def _run_and_report(kind: str, options: dict, command: str) -> SurveyRecord:
     return record
 
 
-def decompose(algorithm: str, fmt: str, out: Path | None = None, cache_dir=None,
-              threads=None, **options) -> None:
-    """Write N as a sum of values C(n, k)."""
-    if algorithm == "greedy" and "h_max" in options:
-        raise _UsageError("decompose --algorithm greedy takes no --h-max")
+def decompose(fmt: str, out: Path | None = None, cache_dir=None, threads=None,
+              **options) -> None:
+    """Write N as a sum of values C(n, k) by the constructive route of order k."""
     try:
-        # the parameters of the exact search, checked as min-rep checks them
+        # k, n and mode, checked as min-rep checks them
         params = normalize_parameters("min-rep", options)
     except ValueError as exc:
         raise _usage_error(exc, "decompose") from exc
-    k, target, h_max, mode = (params[name] for name in ("k", "n", "h_max", "mode"))
+    k, target, mode = (params[name] for name in ("k", "n", "mode"))
     search_mode = SearchMode(mode)
     distinct_word = "distinct " if search_mode is SearchMode.DISTINCT else ""
 
-    if algorithm == "exact":
-        rep = minimal_representation(target, k, h_max, search_mode)
-        cap_text = f"{h_max} {distinct_word}terms"
-    elif k == 2:
+    if k == 2:
         rep = decompose_k2(target, search_mode)
         cap_text = f"3 {distinct_word}terms"
     elif k == 3:
@@ -193,7 +186,7 @@ def decompose(algorithm: str, fmt: str, out: Path | None = None, cache_dir=None,
         if search_mode is SearchMode.DISTINCT and k > 1:
             raise _UsageError(
                 "distinct-mode greedy is only defined for k in {1, 2, 3}; "
-                "use --algorithm exact"
+                "use min-rep --mode distinct"
             )
         rep = Representation(target, k, tuple(greedy_chain(target, k)))
         cap_text = "unbounded terms"
@@ -208,7 +201,7 @@ def decompose(algorithm: str, fmt: str, out: Path | None = None, cache_dir=None,
         dump_payload({
             "k": k,
             "n": target,
-            "algorithm": algorithm,
+            "algorithm": "greedy",
             "mode": mode,
             "indices": list(rep.indices),
             "values": list(rep.values),
@@ -246,7 +239,7 @@ def table(out: Path | None = None, x: Sequence[int] = (), **options) -> None:
 # command -> (handler, the kinds whose parameters it takes as options, its own
 # options); a command with a help line for a handler runs its one kind as given
 _COMMANDS: dict[str, tuple[Callable[..., None] | str, Sequence[str], tuple[str, ...]]] = {
-    "decompose": (decompose, ["min-rep"], ("algorithm",)),
+    "decompose": (decompose, [], ("k", "n", "mode")),
     "min-rep": ("Fewest summands for one target, or report that h-max is exceeded.",
                 ["min-rep"], ()),
     "survey": (survey, EXPERIMENT_KINDS, ("kind",)),

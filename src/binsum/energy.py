@@ -304,6 +304,8 @@ def _counted_factors(count: int, top: int, h: int) -> int:
     """How many factors _fold_counts counts instead of folding: the largest
     j <= h whose count**j sums of values up to top fit the j-fold array's
     cells, where counting them costs about one pass over that array."""
+    if count == 1:
+        return h
     j = 1
     while j < h and count ** (j + 1) <= (j + 1) * top + 1:
         j += 1
@@ -479,7 +481,10 @@ def _admit(
 
 def _run_kernel(values: list[int], h: int, kernel: str, dtype: type, threads: int) -> Tally:
     """The tally by the kernel _admit picked, in the dtype it picked. An
-    FFT proposal the certificate refuses is replaced by the fold."""
+    FFT proposal the certificate refuses is replaced by the fold. One
+    value's one h-tuple is answered directly, in no time linear in h."""
+    if len(values) == 1:
+        return np.array([h * values[0]], dtype=dtype), np.ones(1, dtype=dtype)
     if kernel == "direct":
         return _tally_direct(values, h, dtype)
     if kernel == "mitm":

@@ -30,10 +30,25 @@ class TestDecompose:
         assert proc.returncode == 0
         assert "11 = 10 + 1" in proc.stdout
 
-    def test_exact_minimal(self):
-        proc = run_cli("decompose", "--k", "3", "--n", "17", "--algorithm", "exact")
-        assert proc.returncode == 0
-        assert "17 = 10 + 4 + 1 + 1 + 1" in proc.stdout
+    def test_exact_minimal(self, capsys):
+        # order 3's route prints a fewest-terms witness for 17, as min-rep finds it
+        assert main(["decompose", "--k", "3", "--n", "17"]) == 0
+        assert "17 = 10 + 4 + 1 + 1 + 1" in capsys.readouterr().out
+        assert main(["min-rep", "--k", "3", "--n", "17"]) == 0
+        assert "5 terms, values [10, 4, 1, 1, 1]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, code, text", [
+        (["--k", "3", "--n", "1000", "--mode", "distinct"], 0, "1000 = 969 + 20 + 10 + 1\n"),
+        (["--k", "3", "--n", "17", "--mode", "distinct"], 4,
+         "error: no representation of 17 with <= 7 distinct terms (k=3)\n"),
+        (["--k", "4", "--n", "17", "--mode", "distinct"], 1,
+         "Error: distinct-mode greedy is only defined for k in {1, 2, 3}; "
+         "use min-rep --mode distinct\n"),
+    ], ids=["k3-distinct", "k3-distinct-none", "k4-distinct"])
+    def test_order_three_and_four_routes(self, argv, code, text, capsys):
+        assert main(["decompose", *argv]) == code
+        captured = capsys.readouterr()
+        assert text in (captured.err if code else captured.out)
 
     def test_distinct_mode_failure_is_exit_4(self):
         proc = run_cli("decompose", "--k", "2", "--n", "5", "--mode", "distinct")
@@ -159,11 +174,9 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="cannot read parameter 'c' from '1/0'"):
             run_experiment("restricted-sums", {"k": 2, "h": 2, "x": 10, "c": "1/0"})
 
-    def test_decompose_exact_takes_h_max(self):
-        proc = run_cli("decompose", "--k", "2", "--n", "5", "--algorithm", "exact",
-                       "--h-max", "2")
-        assert proc.returncode == 4
-        assert "no representation of 5 with <= 2 terms" in proc.stderr
+    def test_min_rep_takes_h_max(self, capsys):
+        assert main(["min-rep", "--k", "2", "--n", "5", "--h-max", "2"]) == 0
+        assert capsys.readouterr().out == "min-rep(n=5, k=2, repeats): exceeds h_max=2\n"
 
     def test_memory_budget_read_where_declared(self, capsys):
         assert main(["survey", "--kind", "coverage-threshold", "--r-max", "100",
@@ -185,8 +198,7 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "Error: k must be >= 1" in proc.stderr
         assert "Traceback" not in proc.stderr
-        proc = run_cli("decompose", "--k", "3", "--n", "17", "--algorithm", "exact",
-                       "--h-max", "0")
+        proc = run_cli("min-rep", "--k", "3", "--n", "17", "--h-max", "0")
         assert proc.returncode == 1
         assert "Error: h_max must be >= 1" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -200,7 +212,7 @@ class TestExplicitZeros:
     @pytest.mark.parametrize("argv, message", [
         (["min-rep", "--k", "3", "--n", "17", "--h-max", "0"], "h_max must be >= 1"),
         (["decompose", "--k", "3", "--n", "17", "--algorithm", "exact", "--h-max", "0"],
-         "h_max must be >= 1"),
+         "unrecognized arguments: --algorithm exact --h-max 0"),
         (["survey", "--kind", "survey-H", "--k", "3", "--max", "100",
           "--max-witnesses", "0"], "max_witnesses must be >= 1"),
         (["survey", "--kind", "survey-H", "--k", "3", "--max", "100", "--n-min", "0"],
@@ -234,9 +246,9 @@ class TestExplicitZeros:
         (["decompose", "--k", "2", "--n", "11", "--threads", "0"], "--threads must be >= 1"),
         (["min-rep", "--k", "2", "--n", "11", "--threads", "0"], "--threads must be >= 1"),
         (["decompose", "--k", "2", "--n", "11", "--h-max", "1"],
-         "decompose --algorithm greedy takes no --h-max"),
+         "unrecognized arguments: --h-max 1"),
         (["decompose", "--k", "3", "--n", "17", "--algorithm", "greedy", "--h-max", "7"],
-         "decompose --algorithm greedy takes no --h-max"),
+         "unrecognized arguments: --algorithm greedy --h-max 7"),
     ], ids=["min-rep-h-max", "decompose-exact-h-max", "survey-H-max-witnesses",
             "survey-H-n-min", "coverage-k", "min-rep-no-n", "min-rep-command-no-n",
             "survey-H-no-max", "restricted-sums-no-x", "ratio-no-x", "fit-no-x",
@@ -402,19 +414,19 @@ class TestParser:
         assert os.listdir(tmp_path) == []
 
     def test_every_command_keeps_its_flags(self, capsys):
-        # the flag sets of the parser that declared each command's options by hand
-        min_rep = {"--k", "--n", "--h-max", "--mode"}
+        # the flag sets of the parser that declared each command's options by
+        # hand, but decompose takes no --algorithm or --h-max
         parameters = {"--k", "--h", "--n", "--h-max", "--n-min", "--max", "--cap",
                       "--max-witnesses", "--index-bound", "--x", "--convention", "--c",
                       "--sequence", "--top", "--r-max", "--mode"}
         flags = {
-            "min-rep": min_rep,
+            "min-rep": {"--k", "--n", "--h-max", "--mode"},
             "energy": {"--k", "--h", "--index-bound", "--x", "--convention", "--c",
                        "--sequence", "--top"},
             "coverage": {"--k", "--r-max", "--memory-budget"},
             "fit": {"--k", "--h", "--x", "--sequence"},
             "table": {"--k", "--x"},
-            "decompose": min_rep | {"--algorithm"},
+            "decompose": {"--k", "--n", "--mode"},
             "survey": parameters | {"--kind", "--memory-budget"},
         }
         for command, own in flags.items():

@@ -587,6 +587,31 @@ class TestAdmission:
         assert np.array_equal(sums, mitm_sums) and np.array_equal(counts, mitm_counts)
         assert int(counts.sum()) == 114**4
 
+    def test_one_value_is_admitted_and_tallied_at_once(self):
+        # neither admission nor the tally takes time linear in h (best of 3 runs)
+        elapsed = []
+        for _ in range(3):
+            started = time.perf_counter()
+            assert energy._admit(1, 1, 10**7, "auto", energy.DEFAULT_ENUMERATION_BUDGET,
+                                 energy.DEFAULT_DENSE_BUDGET) == ("fold", np.int64)
+            elapsed.append(time.perf_counter() - started)
+        assert min(elapsed) < 0.01, elapsed
+        assert multiplicity_map(2, 10**7, 2) == {10**7: 1}
+
+    @pytest.mark.parametrize("dtype", [np.int64, object], ids=["int64", "object"])
+    def test_one_value_closed_form_matches_every_kernel(self, dtype):
+        for v in (1, 3, 10):
+            for h in range(1, 7):
+                sums, counts = energy._run_kernel([v], h, "fold", dtype, 1)
+                assert (sums.tolist(), counts.tolist()) == ([h * v], [1])
+                assert sums.dtype == counts.dtype == dtype
+                for kernel in (energy._tally_direct, energy._tally_mitm):
+                    tally = kernel([v], h, dtype)
+                    assert [part.tolist() for part in tally] == [[h * v], [1]], (kernel, v, h)
+                    assert tally[0].dtype == tally[1].dtype == dtype
+                dense = _fold_counts([v], h, 1)
+                assert (np.flatnonzero(dense).tolist(), dense[h * v]) == ([h * v], 1), (v, h)
+
 
 class TestFftKernel:
     """convolve's float FFT only proposes counts: the exact certificate
@@ -937,6 +962,8 @@ class TestFoldThreads:
         assert energy._counted_factors(3, 4, 4) == 2  # 9 <= 9, 27 > 13
         assert energy._counted_factors(3, 9, 4) == 3  # 27 <= 28, 81 > 37
         assert energy._counted_factors(3, 9, 2) == 2
+        # one value: every factor, with no loop over them
+        assert energy._counted_factors(1, 9, 10**7) == 10**7
 
     def test_peak_bytes_stay_in_the_cell_budget(self):
         # two workers: two count arrays, at most 8 B per cell of the result

@@ -45,6 +45,7 @@ CASES = {
                                 "--x", "100000"],
     # the per-kind subcommands
     "min-rep": ["min-rep", "--k", "3", "--n", "17", "--h-max", "5"],
+    "min-rep-distinct": ["min-rep", "--k", "3", "--n", "1000", "--mode", "distinct"],
     "energy": ["energy", "--k", "2", "--h", "3", "--index-bound", "30", "--top", "3"],
     "energy-x": ["energy", "--k", "2", "--h", "2", "--x", "5000", "--convention", "index",
                  "--sequence", "power"],
@@ -56,8 +57,6 @@ CASES = {
     "table": ["table", "--k", "3", "--x", "100", "--x", "100000"],
     # decompose writes its own flat export and never uses the cache
     "decompose": ["decompose", "--k", "2", "--n", "11"],
-    "decompose-exact": ["decompose", "--k", "3", "--n", "1000", "--algorithm", "exact",
-                        "--mode", "distinct"],
 }
 
 # (case, format) -> (digest of the export, digest of the fresh and cached console output)
@@ -74,12 +73,6 @@ GOLDEN = {
     ("decompose", "csv"): (
         "7400d39b9809c85a34c60049940a375055884c191f5c1c21b627e4f72128d37c",
         "bd6e48af6c4243e6b679e956ee8aed09a17968b4a78642cb72e28679bb9ef848"),
-    ("decompose-exact", "json"): (
-        "c863c80a0909d16980ddf1e038ea5a37aa147a759c652e8222a3c0aa670af8d3",
-        "37a61e4362c98ecd61141d998cd09f64dc8e8befe84527e76cb2eb0e52dec5b3"),
-    ("decompose-exact", "csv"): (
-        "a664bece238adc19aace1c823ff4f0f5b0bb2651fc73b0c87c160357bbbc8c7c",
-        "37a61e4362c98ecd61141d998cd09f64dc8e8befe84527e76cb2eb0e52dec5b3"),
     ("energy", "json"): (
         "e81fe2a4100c0469be8e4ff8594749b315f54950551f5e88a2e0762bddf0154b",
         "5501eeb26480fdd46f82cb8012fbb2997b4af90f149750341df778ed20308133"),
@@ -116,6 +109,12 @@ GOLDEN = {
     ("min-rep", "csv"): (
         "623da4074d5e7f1e504794f770e8d86045b478e246d6299ffefe1f47ba9f5bf1",
         "2ee5a7ac1a59c278d1f921423d5a62faa86627c1cb35dcf41ebcd2b44504dbc6"),
+    ("min-rep-distinct", "json"): (
+        "ae38e7577b69f6741651578ff4a0f216d2a035781b9a47e2885585d2f5c0e08c",
+        "9d52d75fb3d982a3dd6b30a2cf2a75573e4cdeb6f73896f780005f85be0fa10c"),
+    ("min-rep-distinct", "csv"): (
+        "943aeaaec0dacd727178bb450cb13bf64b00ee016ca102c0e6030827c8fcfc55",
+        "9d52d75fb3d982a3dd6b30a2cf2a75573e4cdeb6f73896f780005f85be0fa10c"),
     ("survey-asymptotic-ratio", "json"): (
         "6b2a41623d474d1fce4ab2f5261139eb09a9d3a47aefafbae603c1014ddd7ea2",
         "6034717d83ae2894183889dfab9f79d434fa9a6c21cb327e69ff911830d04e0b"),
