@@ -1,109 +1,19 @@
-"""Sums of binomial coefficients: decompositions, surveys, energy diagnostics."""
-from ._version import __version__
-from .binom import (
-    BinomialSequence,
-    PowerSequence,
-    asymptotic_ratio,
-    binom,
-    count_upto,
-    floor_index,
-    gap,
-)
-from .cache import ResultCache
-from .energy import (
-    EnergyReport,
-    ExponentFit,
-    RestrictedReport,
-    RestrictedTupleSpec,
-    energy_report,
-    fit_energy_exponent,
-    index_bound_for,
-    multiplicity_extremes,
-    multiplicity_map,
-    restricted_distinct_sums,
-)
-from .errors import NoRepresentationError, ResourceBudgetError
-from .experiments import normalize_parameters, run_experiment, summary_line
-from .records import (
-    EXPERIMENT_KINDS,
-    SurveyRecord,
-    dump_records_csv,
-    dump_records_json,
-    load_records_csv,
-    load_records_json,
-    records_from_csv,
-    records_from_json,
-    records_to_csv,
-    records_to_json,
-)
-from .represent import (
-    CAP_MAX,
-    EXCEEDS_CAP,
-    MinRepSurvey,
-    MinRepTable,
-    Representation,
-    SearchMode,
-    decompose_k2,
-    decompose_k3,
-    greedy_chain,
-    greedy_leading_term,
-    min_rep_single,
-    min_rep_table,
-    minimal_representation,
-    sumset_coverage_threshold,
-    survey_min_rep,
-    two_triangular,
-)
+"""Sums of binomial coefficients: decompositions, surveys, energy diagnostics.
 
-__all__ = [
-    "__version__",
-    "BinomialSequence",
-    "PowerSequence",
-    "asymptotic_ratio",
-    "binom",
-    "count_upto",
-    "floor_index",
-    "gap",
-    "ResultCache",
-    "EnergyReport",
-    "ExponentFit",
-    "RestrictedReport",
-    "RestrictedTupleSpec",
-    "energy_report",
-    "fit_energy_exponent",
-    "index_bound_for",
-    "multiplicity_extremes",
-    "multiplicity_map",
-    "restricted_distinct_sums",
-    "NoRepresentationError",
-    "ResourceBudgetError",
-    "normalize_parameters",
-    "run_experiment",
-    "summary_line",
-    "EXPERIMENT_KINDS",
-    "SurveyRecord",
-    "dump_records_csv",
-    "dump_records_json",
-    "load_records_csv",
-    "load_records_json",
-    "records_from_csv",
-    "records_from_json",
-    "records_to_csv",
-    "records_to_json",
-    "CAP_MAX",
-    "EXCEEDS_CAP",
-    "MinRepSurvey",
-    "MinRepTable",
-    "Representation",
-    "SearchMode",
-    "decompose_k2",
-    "decompose_k3",
-    "greedy_chain",
-    "greedy_leading_term",
-    "min_rep_single",
-    "min_rep_table",
-    "minimal_representation",
-    "sumset_coverage_threshold",
-    "survey_min_rep",
-    "two_triangular",
-]
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports them all. The name ``binsum.binom`` is the function, which
+shadows the submodule of that name (still ``sys.modules["binsum.binom"]``).
+"""
+from . import _version, binom as _binom, cache, energy, errors, experiments, records, represent
+from ._version import *
+from .binom import *
+from .cache import *
+from .energy import *
+from .errors import *
+from .experiments import *
+from .records import *
+from .represent import *
+
+__all__ = [name for module in (_version, _binom, cache, energy, errors, experiments, records,
+                               represent) for name in module.__all__]
+del _binom

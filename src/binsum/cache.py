@@ -13,6 +13,8 @@ from pathlib import Path
 
 from .records import SurveyRecord, _atomic_write_text, records_to_json
 
+__all__ = ["ResultCache"]
+
 logger = logging.getLogger(__name__)
 
 

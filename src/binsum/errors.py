@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from math import log2
 
+__all__ = ["ResourceBudgetError", "NoRepresentationError"]
+
 
 def _charge_text(message: str, base: int, power: int, budget: int) -> str:
     """message with the charge base**power against budget, each number exact
@@ -14,7 +16,8 @@ def _charge_text(message: str, base: int, power: int, budget: int) -> str:
 
 
 class ResourceBudgetError(RuntimeError):
-    """An operation would exceed its memory or enumeration budget.
+    """An operation would exceed one of its budgets: memory, tuple, pair,
+    Python-int, byte, int64 count or fold work.
 
     The offending requirement is reported so callers can either raise the
     budget or shrink the problem. Both stay exact; the message writes one

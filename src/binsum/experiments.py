@@ -36,7 +36,7 @@ from .cache import ResultCache
 from .records import CSV_FIELDS, EXPERIMENT_KINDS, SurveyRecord, fingerprint
 from .represent import SearchMode
 
-__all__ = ["run_experiment", "summary_line", "EXPERIMENT_KINDS"]
+__all__ = ["normalize_parameters", "run_experiment", "summary_line"]
 
 _SEQUENCES = tuple(SEQUENCES)
 
@@ -320,11 +320,13 @@ def run_experiment(
     parameters only, so equivalent requests share a cache entry no matter
     how they are threaded or budgeted. memory_budget None means
     represent.DEFAULT_MEMORY_BUDGET; a kind that is not budgeted refuses
-    any other value.
+    any other value, and a budgeted one refuses a value below 1.
     """
     normalized = normalize_parameters(kind, params)
     if memory_budget is not None and not KINDS[kind].budgeted:
         raise ValueError(f"{kind} takes no memory_budget")
+    if memory_budget is not None and memory_budget < 1:
+        raise ValueError("memory_budget must be >= 1")
     if cache is not None:
         hit = cache.lookup(fingerprint(kind, normalized))
         if hit is not None:

@@ -26,6 +26,19 @@ from typing import Any, Iterable
 
 from ._version import __version__
 
+__all__ = [
+    "EXPERIMENT_KINDS",
+    "SurveyRecord",
+    "records_to_json",
+    "records_from_json",
+    "records_to_csv",
+    "records_from_csv",
+    "dump_records_json",
+    "load_records_json",
+    "dump_records_csv",
+    "load_records_csv",
+]
+
 _INT_RE = re.compile(r"-?[0-9]+\Z")
 _FRACTION_RE = re.compile(r"-?[0-9]+/[0-9]+\Z")
 _FLOAT_RE = re.compile(r"-?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")

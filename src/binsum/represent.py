@@ -9,9 +9,10 @@ same search for single targets. The two admission policies (repeats or
 distinct elements) are a mode shared by every search entry point.
 
 The single-target search and the order-2 completion share one routine for
-their last two terms: it walks the candidate leading terms in fixed-size
-blocks and tests every completion in a block with one set of int64 numpy
-operations, falling back to Python ints only where a product could wrap.
+their last two terms. At orders 2 to 5 it walks the candidate leading
+terms in fixed-size blocks and tests every completion in a block with one
+set of int64 numpy operations; at every other order, and wherever a
+product could wrap int64, it walks one candidate at a time on Python ints.
 
 The range oracles (min_rep_table and the surveys) hold every set of
 reachable targets as packed little-endian uint64 words, bit j for target

@@ -170,6 +170,22 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="energy takes no memory_budget"):
             run_experiment("energy", {"k": 2, "h": 2, "index_bound": 50}, memory_budget=1)
 
+    @pytest.mark.parametrize("argv", [
+        ["survey", "--kind", "survey-H", "--k", "3", "--max", "1000", "--memory-budget=-5"],
+        ["coverage", "--r-max", "100", "--memory-budget=-1"],
+        ["coverage", "--r-max", "100", "--memory-budget=0"],
+    ], ids=["survey-H", "coverage", "coverage-zero"])
+    def test_memory_budget_below_1_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "Error: memory_budget must be >= 1\n"
+
+    @pytest.mark.parametrize("budget", [-5, 0])
+    def test_run_experiment_refuses_a_budget_below_1(self, budget):
+        with pytest.raises(ValueError, match="memory_budget must be >= 1"):
+            run_experiment("survey-H", {"k": 3, "n_max": 1000}, memory_budget=budget)
+
     def test_run_experiment_names_an_unreadable_parameter(self):
         with pytest.raises(ValueError, match="cannot read parameter 'c' from '1/0'"):
             run_experiment("restricted-sums", {"k": 2, "h": 2, "x": 10, "c": "1/0"})
